@@ -22,20 +22,20 @@ let run_sweep name (spec : Sandbox.Spec.t) =
   in
   let rewrites =
     List.map
-      (fun (p : Stoke.sweep_point) ->
+      (fun { Search.Frontier.eta; rewrite; loc; latency; speedup; _ } ->
         (* quick validation pass per point *)
         let v =
           Validate.Driver.run
             ~obs:(Util.obs ())
             ~config:(Util.validate_config ~proposals:30_000 ())
-            ~eta:p.Stoke.eta
-            (Validate.Errfn.create spec ~rewrite:p.Stoke.rewrite)
+            ~eta
+            (Validate.Errfn.create spec ~rewrite)
         in
         Printf.printf "%-10s %5d %7d %8.2f %14s\n"
-          (Util.eta_to_string p.Stoke.eta)
-          p.Stoke.loc p.Stoke.latency p.Stoke.speedup
+          (Util.eta_to_string eta)
+          loc latency speedup
           (Ulp.to_string v.Validate.Driver.max_err);
-        (p.Stoke.eta, p.Stoke.rewrite))
+        (eta, rewrite))
       points
   in
   (* error curves over the input range for a subset of rewrites (Fig 4 d-f) *)

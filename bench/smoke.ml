@@ -1,5 +1,5 @@
-(* Equivalence smoke check: run the same fixed-seed search under every
-   engine × pruning combination, assert the winners are bit-identical,
+(* Equivalence smoke check: run the same fixed-seed search under both
+   engines × pruning on/off, assert the winners are bit-identical,
    and report how many test-case executions the cutoff + cache saved.
    Small enough to ride along in `dune runtest` as an end-to-end guard on
    both equivalence invariants — pruned vs. full, and compiled vs.
@@ -43,12 +43,6 @@ let run_one name (spec : Sandbox.Spec.t) =
         | _ -> false)
   in
   let pruned = search Sandbox.Exec.Compiled true in
-  let native = Sandbox.Native.available () in
-  if not native then
-    Printf.printf
-      "%-8s native engine unavailable here (mmap-exec denied); checking 3 \
-       engines\n"
-      name;
   List.iter
     (fun (label, r) ->
       if not (agrees r) then begin
@@ -56,29 +50,18 @@ let run_one name (spec : Sandbox.Spec.t) =
           name label;
         exit 1
       end)
-    ([
-       ("interp+prune", search Sandbox.Exec.Interp true);
-       ("compiled", search Sandbox.Exec.Compiled false);
-       ("compiled+prune", pruned);
-       ("batched", search Sandbox.Exec.Batched false);
-       ("batched+prune", search Sandbox.Exec.Batched true);
-     ]
-    @
-    if native then
-      [
-        ("native", search Sandbox.Exec.Native false);
-        ("native+prune", search Sandbox.Exec.Native true);
-      ]
-    else []);
+    [
+      ("interp+prune", search Sandbox.Exec.Interp true);
+      ("compiled", search Sandbox.Exec.Compiled false);
+      ("compiled+prune", pruned);
+    ];
   let tp = pruned.Search.Optimizer.tests_executed in
   let tf = full.Search.Optimizer.tests_executed in
   let saved = 100. *. (1. -. (float_of_int tp /. float_of_int tf)) in
   Printf.printf
-    "%-8s identical winners (%d engines x prune on/off); tests executed %8d \
+    "%-8s identical winners (2 engines x prune on/off); tests executed %8d \
      -> %8d  (%.1f%% saved, %d pruned, %d cache hits, %d compiles)\n"
-    name
-    (if native then 4 else 3)
-    tf tp saved
+    name tf tp saved
     pruned.Search.Optimizer.pruned_evals
     pruned.Search.Optimizer.cache_hits
     pruned.Search.Optimizer.compile_count
@@ -113,11 +96,11 @@ let run_frontier () =
   in
   let points = Stoke.precision_sweep ~config ~etas ~tests:16 ~seed spec in
   List.iter2
-    (fun expected (p : Stoke.sweep_point) ->
-      if not (Program.equal expected p.Stoke.rewrite) then begin
+    (fun expected (p : Search.Frontier.point) ->
+      if not (Program.equal expected p.Search.Frontier.rewrite) then begin
         Printf.eprintf
           "smoke: cold frontier diverged from the legacy sweep at eta %s!\n"
-          (Ulp.to_string p.Stoke.eta);
+          (Ulp.to_string p.Search.Frontier.eta);
         exit 1
       end)
     legacy points;

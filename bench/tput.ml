@@ -64,102 +64,21 @@ let encode_test =
   Test.make ~name:"encode exp kernel to bytes"
     (Staged.stage (fun () -> ignore (Encoder.encode_program p)))
 
-(* Head-to-head instrs/sec of the three engines on the loop the cost
-   function drives — per-test restore + apply + run for the scalar
-   engines, one amortized reset + lane-wise sweep for the batched one.
-   Written to the tput telemetry stream so CI can track the speedups. *)
+(* Head-to-head instrs/sec of the two engines on the loop the cost
+   function drives: per-test restore + apply + run.  Written to the tput
+   telemetry stream so CI can track the speedup.  A microbenchmark only:
+   whole-run proposals/s is the number that counts. *)
 let run_engine_tput () =
   Util.subheading "execution engines: instrs/sec on the exp kernel";
   let spec = Kernels.S3d.exp_spec in
   let tc = Sandbox.Spec.testcase_of_floats spec [| -1.25 |] in
-  (* The batched engine is measured at the batch width the optimizer
-     actually uses it at: every lane is a test case, one reset + exec
-     sweeps them all. *)
-  let lanes = 32 in
-  let measure_batched () =
-    let machine =
-      Sandbox.Machine.create ~mem_size:spec.Sandbox.Spec.mem_size ()
-    in
-    let tcs =
-      Array.init lanes (fun i ->
-          let x = -3.0 +. (3.0 *. float_of_int i /. float_of_int lanes) in
-          Sandbox.Spec.testcase_of_floats spec [| x |])
-    in
-    let b = Sandbox.Batched.create_batch machine tcs in
-    let bp = Sandbox.Batched.compile b spec.Sandbox.Spec.program in
-    let once () =
-      Sandbox.Batched.reset b;
-      ignore (Sandbox.Batched.exec bp : bool)
-    in
-    for _ = 1 to 2_000 / lanes do
-      once ()
-    done;
-    let iters = Util.scaled 300_000 / lanes in
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to iters do
-      once ()
-    done;
-    let dt = Unix.gettimeofday () -. t0 in
-    once ();
-    let executed = (Sandbox.Batched.result b ~lane:0).Sandbox.Exec.executed in
-    let runs = float_of_int iters *. float_of_int lanes in
-    (runs *. float_of_int executed /. dt, runs /. dt)
-  in
-  (* The native engine at the same batch width: one encoded trampoline,
-     one worker request per sweep.  [Error reason] when this platform
-     can't run it — the caller reports the skip instead of failing. *)
-  let measure_native () =
-    if not (Sandbox.Native.available ()) then Error "mmap_exec_denied"
-    else begin
-      let machine =
-        Sandbox.Machine.create ~mem_size:spec.Sandbox.Spec.mem_size ()
-      in
-      let tcs =
-        Array.init lanes (fun i ->
-            let x = -3.0 +. (3.0 *. float_of_int i /. float_of_int lanes) in
-            Sandbox.Spec.testcase_of_floats spec [| x |])
-      in
-      match Sandbox.Native.create_batch machine tcs with
-      | None -> Error "worker_unavailable"
-      | Some b ->
-        (match Sandbox.Native.compile b spec.Sandbox.Spec.program with
-         | None -> Error "kernel_unencodable"
-         | Some np ->
-           let once () =
-             Sandbox.Native.reset b;
-             ignore (Sandbox.Native.exec np : bool)
-           in
-           for _ = 1 to 2_000 / lanes do
-             once ()
-           done;
-           let iters = Util.scaled 300_000 / lanes in
-           let t0 = Unix.gettimeofday () in
-           for _ = 1 to iters do
-             once ()
-           done;
-           let dt = Unix.gettimeofday () -. t0 in
-           once ();
-           let executed =
-             (Sandbox.Native.result b ~lane:0).Sandbox.Exec.executed
-           in
-           let runs = float_of_int iters *. float_of_int lanes in
-           Ok (runs *. float_of_int executed /. dt, runs /. dt))
-    end
-  in
   let measure engine =
     let machine =
       Sandbox.Machine.create ~mem_size:spec.Sandbox.Spec.mem_size ()
     in
     let pristine = Sandbox.Machine.copy machine in
     let run =
-      match engine with
-      | Sandbox.Exec.Interp ->
-        fun () -> Sandbox.Exec.run machine spec.Sandbox.Spec.program
-      | Sandbox.Exec.Compiled ->
-        let cp = Sandbox.Compiled.compile machine spec.Sandbox.Spec.program in
-        fun () -> Sandbox.Compiled.exec cp
-      | Sandbox.Exec.Batched | Sandbox.Exec.Native ->
-        assert false (* measured by measure_batched / measure_native *)
+      Sandbox.Compiled.prepare engine machine spec.Sandbox.Spec.program
     in
     let once () =
       Sandbox.Machine.restore_from ~src:pristine ~dst:machine;
@@ -193,36 +112,16 @@ let run_engine_tput () =
   in
   let interp = measure Sandbox.Exec.Interp in
   let compiled = measure Sandbox.Exec.Compiled in
-  let batched = measure_batched () in
   report Sandbox.Exec.Interp interp;
   report Sandbox.Exec.Compiled compiled;
-  report Sandbox.Exec.Batched batched;
-  let speedup pair num den =
-    let s = fst num /. fst den in
-    Printf.printf "%-36s %14.2fx\n" (pair ^ " speedup") s;
-    Obs.Sink.emit (Util.obs ()) "engine_speedup"
-      [
-        ("kernel", Obs.Json.String "exp");
-        ("pair", Obs.Json.String pair);
-        ("speedup", Obs.Json.Float s);
-      ]
-  in
-  speedup "compiled/interp" compiled interp;
-  speedup "batched/compiled" batched compiled;
-  match measure_native () with
-  | Ok native ->
-    report Sandbox.Exec.Native native;
-    speedup "native/batched" native batched;
-    speedup "native/interp" native interp
-  | Error reason ->
-    Printf.printf "%-36s %14s\n" "native instrs/s | runs/s"
-      ("(skipped: " ^ reason ^ ")");
-    Obs.Sink.emit (Util.obs ()) "engine_unavailable"
-      [
-        ("engine", Obs.Json.String "native");
-        ("kernel", Obs.Json.String "exp");
-        ("reason", Obs.Json.String reason);
-      ]
+  let s = fst compiled /. fst interp in
+  Printf.printf "%-36s %14.2fx\n" "compiled/interp speedup" s;
+  Obs.Sink.emit (Util.obs ()) "engine_speedup"
+    [
+      ("kernel", Obs.Json.String "exp");
+      ("pair", Obs.Json.String "compiled/interp");
+      ("speedup", Obs.Json.Float s);
+    ]
 
 (* Per-proposal cost of the static undef-read screen, measured over the
    same propose/undo stream the optimizer sees, plus the fraction of

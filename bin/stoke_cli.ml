@@ -34,35 +34,6 @@ let seed_arg =
   let doc = "Random seed." in
   Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc)
 
-let engine_arg =
-  (* derived from [Exec.engine_names] so the CLI can never drift from the
-     library's spellings *)
-  let engines =
-    List.map
-      (fun n ->
-        match Sandbox.Exec.engine_of_string n with
-        | Ok e -> (n, e)
-        | Error e -> failwith e)
-      Sandbox.Exec.engine_names
-  in
-  let doc =
-    "Execution engine: $(b,compiled) (default) translates each proposal once \
-     into specialized closures and replays them per test case; \
-     $(b,batched) translates once and steps every test case lane-wise \
-     through each instruction (struct-of-arrays register files, one reset \
-     per proposal, whole-proposal cutoff aborts); $(b,native) encodes each \
-     proposal to real machine code and runs all lanes inside a guarded \
-     worker process, falling back per-proposal to batched for instructions \
-     hardware does not execute bit-identically (and entirely where \
-     mmap-exec is denied); $(b,interp) steps the reference interpreter on \
-     every run.  Results are bit-identical for a fixed seed; interp exists \
-     as the oracle and for debugging."
-  in
-  Arg.(
-    value
-    & opt (enum engines) Sandbox.Exec.Compiled
-    & info [ "engine" ] ~docv:"ENGINE" ~doc)
-
 let rewrite_file_arg =
   let doc = "Assembly file holding a rewrite (defaults to the target)." in
   Arg.(value & opt (some file) None & info [ "rewrite" ] ~docv:"FILE" ~doc)
@@ -179,7 +150,7 @@ let show_cmd =
 (* ----- optimize ----- *)
 
 let optimize_cmd =
-  let run name eta proposals seed domains no_prune no_static_screen engine out
+  let run name eta proposals seed domains no_prune no_static_screen out
       trace_out metrics progress deadline stop_when checkpoint checkpoint_every
       resume =
     match find_kernel name with
@@ -219,7 +190,6 @@ let optimize_cmd =
           seed = Int64.of_int seed;
           prune = not no_prune;
           static_screen = not no_static_screen;
-          engine;
           stop_when;
           deadline_s = deadline;
         }
@@ -285,23 +255,13 @@ let optimize_cmd =
             ("pruned_evals", Obs.Json.Int result.Search.Optimizer.pruned_evals);
             ("cache_hits", Obs.Json.Int result.Search.Optimizer.cache_hits);
             ( "engine",
-              Obs.Json.String (Sandbox.Exec.engine_to_string engine) );
+              Obs.Json.String
+                (Sandbox.Exec.engine_to_string config.Search.Optimizer.engine)
+            );
             ( "compile_count",
               Obs.Json.Int result.Search.Optimizer.compile_count );
             ( "compiled_runs",
               Obs.Json.Int result.Search.Optimizer.compiled_runs );
-            ( "batched_runs",
-              Obs.Json.Int result.Search.Optimizer.batched_runs );
-            ( "batch_prunes",
-              Obs.Json.Int result.Search.Optimizer.batch_prunes );
-            ( "native_runs",
-              Obs.Json.Int result.Search.Optimizer.native_runs );
-            ( "encode_count",
-              Obs.Json.Int result.Search.Optimizer.encode_count );
-            ( "encoder_fallbacks",
-              Obs.Json.Int result.Search.Optimizer.encoder_fallbacks );
-            ( "worker_respawns",
-              Obs.Json.Int result.Search.Optimizer.worker_respawns );
             ( "static_rejects",
               Obs.Json.Int result.Search.Optimizer.static_rejects );
             ("elapsed_s", Obs.Json.Float (Obs.Clock.elapsed_s ~since:t0));
@@ -413,14 +373,14 @@ let optimize_cmd =
     (Cmd.info "optimize" ~doc:"Search for a faster η-correct rewrite")
     Term.(
       const run $ kernel_arg $ eta_arg $ proposals_arg $ seed_arg $ domains_arg
-      $ no_prune_arg $ no_static_screen_arg $ engine_arg $ out_arg
+      $ no_prune_arg $ no_static_screen_arg $ out_arg
       $ trace_out_arg $ metrics_arg $ progress_arg $ deadline_arg
       $ stop_when_arg $ checkpoint_arg $ checkpoint_every_arg $ resume_arg)
 
 (* ----- refine ----- *)
 
 let refine_cmd =
-  let run name eta proposals seed engine trace_out progress =
+  let run name eta proposals seed trace_out progress =
     match find_kernel name with
     | Error e -> exit_err e
     | Ok spec ->
@@ -429,7 +389,6 @@ let refine_cmd =
           Search.Optimizer.default_config with
           Search.Optimizer.proposals;
           seed = Int64.of_int seed;
-          engine;
         }
       in
       let sink = make_sink ~trace_out ~progress in
@@ -463,13 +422,13 @@ let refine_cmd =
          "Counterexample-refined optimization: search, validate, feed failures \
           back into the test set, repeat")
     Term.(
-      const run $ kernel_arg $ eta_arg $ proposals_arg $ seed_arg $ engine_arg
+      const run $ kernel_arg $ eta_arg $ proposals_arg $ seed_arg
       $ trace_out_arg $ progress_arg)
 
 (* ----- validate ----- *)
 
 let validate_cmd =
-  let run name eta rewrite_file proposals min_samples chains engine trace_out
+  let run name eta rewrite_file proposals min_samples chains trace_out
       progress =
     match find_kernel name with
     | Error e -> exit_err e
@@ -490,7 +449,7 @@ let validate_cmd =
           }
         in
         let v =
-          Stoke.validate ~config ~obs:sink ~engine ~eta:(Ulp.of_float eta)
+          Stoke.validate ~config ~obs:sink ~eta:(Ulp.of_float eta)
             spec rewrite
         in
         Printf.printf
@@ -510,7 +469,7 @@ let validate_cmd =
             proposals_per_chain = proposals / chains;
           }
         in
-        let errfn = Validate.Errfn.create ~engine spec ~rewrite in
+        let errfn = Validate.Errfn.create spec ~rewrite in
         let v =
           Validate.Multi_chain.run ~obs:sink ~config ~eta:(Ulp.of_float eta)
             errfn
@@ -547,7 +506,7 @@ let validate_cmd =
        ~doc:"MCMC-validate a rewrite's maximum ULP error against the target")
     Term.(
       const run $ kernel_arg $ eta_arg $ rewrite_file_arg $ proposals_arg
-      $ min_samples_arg $ chains_arg $ engine_arg $ trace_out_arg
+      $ min_samples_arg $ chains_arg $ trace_out_arg
       $ progress_arg)
 
 (* ----- verify ----- *)
@@ -632,7 +591,7 @@ let scaled_ulp_unit spec outcome =
     in
     Some (Verify.Interval.ulp_size_at (Verify.Interval.mag r) ~single)
 
-let verify_one ~taylor ~eta ~observed ~engine ~kname spec rewrite_label rewrite
+let verify_one ~taylor ~eta ~observed ~kname spec rewrite_label rewrite
     =
   let bitwise =
     match Verify.Symbolic.equivalent spec ~rewrite with
@@ -655,7 +614,7 @@ let verify_one ~taylor ~eta ~observed ~engine ~kname spec rewrite_label rewrite
       in
       (* the MCMC hunt finds the adversarial input; the error is then
          re-measured in the analysis's scaled-ULP currency *)
-      let v = Stoke.validate ~config ~engine ~eta spec rewrite in
+      let v = Stoke.validate ~config ~eta spec rewrite in
       match scaled_ulp_unit spec outcome with
       | None -> Some (Ulp.to_float v.Validate.Driver.max_err)
       | Some unit_size ->
@@ -769,7 +728,7 @@ let check_against_baseline rows path =
 
 let verify_cmd =
   let run all name eta rewrite_file bb_depth bb_boxes bb_timeout fpcore json
-      observed check_baseline write_baseline engine =
+      observed check_baseline write_baseline =
     let taylor =
       {
         Verify.Bbound.max_depth = bb_depth;
@@ -790,7 +749,7 @@ let verify_cmd =
               | Some (label, p) -> (label, p)
               | None -> ("self", spec.Sandbox.Spec.program)
             in
-            verify_one ~taylor ~eta ~observed ~engine ~kname spec label
+            verify_one ~taylor ~eta ~observed ~kname spec label
               rewrite)
           kernel_registry
       end
@@ -818,7 +777,7 @@ let verify_cmd =
               exit 0
             | Error e -> exit_err (Printf.sprintf "--fpcore: %s" e)
           end;
-          [ verify_one ~taylor ~eta ~observed ~engine ~kname:name spec label
+          [ verify_one ~taylor ~eta ~observed ~kname:name spec label
               rewrite ]
       end
     in
@@ -936,12 +895,12 @@ let verify_cmd =
     Term.(
       const run $ all_flag $ kernel_opt_arg $ eta_arg $ rewrite_file_arg
       $ bb_depth_arg $ bb_boxes_arg $ bb_timeout_arg $ fpcore_flag $ json_flag
-      $ observed_flag $ check_baseline_arg $ write_baseline_arg $ engine_arg)
+      $ observed_flag $ check_baseline_arg $ write_baseline_arg)
 
 (* ----- sweep ----- *)
 
 let sweep_cmd =
-  let run name proposals seed validate_results engine trace_out progress =
+  let run name proposals seed validate_results trace_out progress =
     match find_kernel name with
     | Error e -> exit_err e
     | Ok spec ->
@@ -950,7 +909,6 @@ let sweep_cmd =
           Search.Optimizer.default_config with
           Search.Optimizer.proposals;
           seed = Int64.of_int seed;
-          engine;
         }
       in
       let sink = make_sink ~trace_out ~progress in
@@ -964,11 +922,10 @@ let sweep_cmd =
       Printf.printf "%-12s %6s %8s %8s %s\n" "eta" "LOC" "cycles" "speedup"
         "validated-err";
       List.iter
-        (fun (p : Stoke.sweep_point) ->
-          Printf.printf "%-12s %6d %8d %8.2f %s\n"
-            (Ulp.to_string p.Stoke.eta)
-            p.Stoke.loc p.Stoke.latency p.Stoke.speedup
-            (match p.Stoke.validated_err with
+        (fun { Search.Frontier.eta; loc; latency; speedup; validated_err; _ } ->
+          Printf.printf "%-12s %6d %8d %8.2f %s\n" (Ulp.to_string eta) loc
+            latency speedup
+            (match validated_err with
              | None -> "-"
              | Some e -> Ulp.to_string e))
         points
@@ -980,13 +937,13 @@ let sweep_cmd =
     (Cmd.info "sweep" ~doc:"Precision sweep over the η grid (Figure 4/5)")
     Term.(
       const run $ kernel_arg $ proposals_arg $ seed_arg $ validate_flag
-      $ engine_arg $ trace_out_arg $ progress_arg)
+      $ trace_out_arg $ progress_arg)
 
 (* ----- frontier ----- *)
 
 let frontier_cmd =
   let run name etas proposals seed cold warm_frac max_demotions sweep_back
-      sound_promote no_validate checkpoint resume engine trace_out progress =
+      sound_promote no_validate checkpoint resume trace_out progress =
     match find_kernel name with
     | Error e -> exit_err e
     | Ok spec ->
@@ -1006,7 +963,6 @@ let frontier_cmd =
           Search.Optimizer.default_config with
           Search.Optimizer.proposals;
           seed = Int64.of_int seed;
-          engine;
         }
       in
       let resume =
@@ -1136,7 +1092,7 @@ let frontier_cmd =
       const run $ kernel_arg $ etas_arg $ proposals_arg $ seed_arg
       $ cold_flag $ warm_frac_arg $ max_demotions_arg $ sweep_back_flag
       $ sound_promote_flag $ no_validate_flag $ checkpoint_arg $ resume_arg
-      $ engine_arg $ trace_out_arg $ progress_arg)
+      $ trace_out_arg $ progress_arg)
 
 (* ----- encode ----- *)
 
@@ -1157,11 +1113,11 @@ let encode_cmd =
             Printf.printf "%-40s %s%s\n" (Instr.to_string i)
               (Encoder.hex bytes)
               (if Sandbox.Native.native_instr i then ""
-               else "   [batched fallback]")
+               else "   [not native]")
           | Error e ->
             Printf.printf "%-40s <unencodable: %s>\n" (Instr.to_string i) e)
         (Program.instrs program);
-      (* what the native engine would actually run: the whole guarded
+      (* what the native executor runs: the whole guarded
          trampoline, when this platform and program admit one *)
       if Sandbox.Native.available () then begin
         let m =
@@ -1173,7 +1129,7 @@ let encode_cmd =
           (match Sandbox.Native.compile b program with
            | None ->
              Printf.printf
-               "\n%s: no native trampoline (some instruction falls back)\n"
+               "\n%s: no native trampoline (some instruction is not native)\n"
                what
            | Some np ->
              Printf.printf "\n%s: native trampoline, %d bytes:\n%s\n" what
@@ -1195,7 +1151,7 @@ let encode_cmd =
     (Cmd.info "encode"
        ~doc:
          "Hex-dump a kernel's (or assembly file's) machine-code encoding, \
-          flagging instructions the native engine would not run, plus the \
+          flagging instructions the native executor would not run, plus the \
           full native trampoline when available")
     Term.(const run $ kernel_arg $ asm_arg)
 

@@ -34,7 +34,8 @@ let () =
   let csv = name ^ "_sweep.csv" in
   let oc = open_out csv in
   output_string oc "eta,loc,cycles,speedup,validated_err\n";
-  let emit_row ~eta ~loc ~latency ~speedup ~validated_err =
+  let emit_row
+      { Search.Frontier.eta; loc; latency; speedup; validated_err; _ } =
     Printf.fprintf oc "%s,%d,%d,%.3f,%s\n" (Ulp.to_string eta) loc latency
       speedup
       (match validated_err with Some e -> Ulp.to_string e | None -> "");
@@ -49,22 +50,13 @@ let () =
       Stoke.precision_sweep ~config ~validate_results:true ~tests:24 ~seed:7L
         spec
     in
-    List.iter
-      (fun (p : Stoke.sweep_point) ->
-        emit_row ~eta:p.Stoke.eta ~loc:p.Stoke.loc ~latency:p.Stoke.latency
-          ~speedup:p.Stoke.speedup ~validated_err:p.Stoke.validated_err)
-      points
+    List.iter emit_row points
   end
   else begin
     Printf.printf
       "frontier-sweeping %s over eta = 10^0 .. 10^18 (one warm walk)\n%!" name;
     let r = Stoke.frontier ~config ~tests:24 ~seed:7L spec in
-    List.iter
-      (fun (p : Search.Frontier.point) ->
-        emit_row ~eta:p.Search.Frontier.eta ~loc:p.Search.Frontier.loc
-          ~latency:p.Search.Frontier.latency ~speedup:p.Search.Frontier.speedup
-          ~validated_err:p.Search.Frontier.validated_err)
-      r.Search.Frontier.points;
+    List.iter emit_row r.Search.Frontier.points;
     Printf.printf
       "spent %d of %d cold-equivalent proposals (%.0f%%), %d demotions\n"
       r.Search.Frontier.total_proposals r.Search.Frontier.cold_budget

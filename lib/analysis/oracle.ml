@@ -3,7 +3,8 @@
    For every opcode × shape the operand pools can generate, instantiate a
    handful of concrete instructions (distinct-register, aliased-register,
    and per-immediate/per-addressing-mode variants), run each as a one-slot
-   program on seeded random machines under BOTH engines, and check the
+   program on seeded random machines under every executor — both engines,
+   plus real hardware where {!Sandbox.Native} is available — and check the
    tables against what the machine actually did:
 
    - writes ⊆ defs: diffing the pre/post state may only show changes at
@@ -24,15 +25,23 @@
    forms — need no special-casing: the backward transfer function re-adds
    them through uses. *)
 
+type executor =
+  | Engine of Sandbox.Exec.engine
+  | Native
+
+let executor_to_string = function
+  | Engine e -> Sandbox.Exec.engine_to_string e
+  | Native -> "native"
+
 type violation = {
   instr : Instr.t;
-  engine : Sandbox.Exec.engine;
+  executor : executor;
   detail : string;
 }
 
 let violation_to_string v =
   Printf.sprintf "%s [%s]: %s" (Instr.to_string v.instr)
-    (Sandbox.Exec.engine_to_string v.engine)
+    (executor_to_string v.executor)
     v.detail
 
 (* ----- instantiation ----- *)
@@ -259,37 +268,14 @@ let native_batch_for (m : Sandbox.Machine.t) =
     Hashtbl.add native_batches sz b;
     b
 
-let run_engine engine m p =
-  match engine with
-  | Sandbox.Exec.Interp -> Sandbox.Exec.run m p
-  | Sandbox.Exec.Compiled -> Sandbox.Compiled.exec (Sandbox.Compiled.compile m p)
-  | Sandbox.Exec.Batched ->
-    (* One-lane batch seeded from [m]'s state; the lane's final state is
-       copied back so the oracle's machine comparisons see it. *)
-    let b = Sandbox.Batched.create_batch m [| Sandbox.Testcase.empty |] in
-    let bp = Sandbox.Batched.compile b p in
-    let (_aborted : bool) = Sandbox.Batched.exec bp in
-    let lm = Sandbox.Batched.lane_machine b ~lane:0 in
-    Array.blit lm.Sandbox.Machine.gp 0 m.Sandbox.Machine.gp 0 16;
-    Array.blit lm.Sandbox.Machine.xmm 0 m.Sandbox.Machine.xmm 0 32;
-    m.Sandbox.Machine.flags.Sandbox.Machine.cf <-
-      lm.Sandbox.Machine.flags.Sandbox.Machine.cf;
-    m.Sandbox.Machine.flags.Sandbox.Machine.zf <-
-      lm.Sandbox.Machine.flags.Sandbox.Machine.zf;
-    m.Sandbox.Machine.flags.Sandbox.Machine.sf <-
-      lm.Sandbox.Machine.flags.Sandbox.Machine.sf;
-    m.Sandbox.Machine.flags.Sandbox.Machine.o_f <-
-      lm.Sandbox.Machine.flags.Sandbox.Machine.o_f;
-    m.Sandbox.Machine.flags.Sandbox.Machine.pf <-
-      lm.Sandbox.Machine.flags.Sandbox.Machine.pf;
-    Sandbox.Memory.blit_from ~src:lm.Sandbox.Machine.mem
-      ~dst:m.Sandbox.Machine.mem;
-    Sandbox.Batched.result b ~lane:0
-  | Sandbox.Exec.Native -> (
+let run_executor executor m p =
+  match executor with
+  | Engine e -> Sandbox.Compiled.prepare e m p ()
+  | Native -> (
     (* Real machine-code run threading [m] through lane 0.  Any gap —
        worker unavailable, instruction unencodable or not bit-identical
        in hardware, worker crash — runs the interpreter instead, which
-       keeps the liveness checks meaningful (the engines agree
+       keeps the liveness checks meaningful (the executors agree
        bit-for-bit on the accepted subset by construction). *)
     match native_batch_for m with
     | None -> Sandbox.Exec.run m p
@@ -301,15 +287,19 @@ let run_engine engine m p =
           | Some r -> r
           | None -> Sandbox.Exec.run m p)))
 
+let executors () =
+  [ Engine Sandbox.Exec.Interp; Engine Sandbox.Exec.Compiled ]
+  @ if Sandbox.Native.available () then [ Native ] else []
+
 let outcome_eq (a : Sandbox.Exec.result) (b : Sandbox.Exec.result) =
   a.Sandbox.Exec.outcome = b.Sandbox.Exec.outcome
   && a.Sandbox.Exec.executed = b.Sandbox.Exec.executed
 
 (* ----- the checks ----- *)
 
-let check_instance ~violations instr base_machine engine =
+let check_instance ~violations instr base_machine executor =
   let program = Program.of_instrs [ instr ] in
-  let fail detail = violations := { instr; engine; detail } :: !violations in
+  let fail detail = violations := { instr; executor; detail } :: !violations in
   let defs = Liveness.defs instr in
   let uses = Liveness.uses instr in
   let kills = Liveness.kills instr in
@@ -320,7 +310,7 @@ let check_instance ~violations instr base_machine engine =
          (String.concat "," (List.map Liveness.loc_to_string (Liveness.Locset.elements defs))));
   (* baseline run *)
   let ma = Sandbox.Machine.copy base_machine in
-  let res_a = run_engine engine ma program in
+  let res_a = run_executor executor ma program in
   (* writes ⊆ defs *)
   List.iter
     (fun (loc, comp) ->
@@ -334,7 +324,7 @@ let check_instance ~violations instr base_machine engine =
         let mb = Sandbox.Machine.copy base_machine in
         pert.apply mb;
         let mb_pre = Sandbox.Machine.copy mb in
-        let res_b = run_engine engine mb program in
+        let res_b = run_executor executor mb program in
         if not (outcome_eq res_a res_b) then
           fail
             (Printf.sprintf "perturbing non-use %s changed the outcome" pert.pname)
@@ -387,11 +377,8 @@ let run ?(states = 2) ?(seed = default_seed) () =
       List.iter
         (fun m ->
           List.iter
-            (fun engine -> check_instance ~violations instr m engine)
-            ([ Sandbox.Exec.Interp; Sandbox.Exec.Compiled;
-               Sandbox.Exec.Batched ]
-            @ (if Sandbox.Native.available () then [ Sandbox.Exec.Native ]
-               else [])))
+            (fun executor -> check_instance ~violations instr m executor)
+            (executors ()))
         machines)
     all;
   List.rev !violations

@@ -3,7 +3,9 @@
     Every opcode × shape is instantiated into concrete instructions
     (distinct-register, aliased-register, and per-immediate/addressing-mode
     variants — a superset of what [Search.Pools] can generate) and run as a
-    one-slot program on seeded random machines under both engines.  Three
+    one-slot program on seeded random machines under every executor:
+    both engines, plus real hardware through {!Sandbox.Native} where it
+    is available.  Three
     properties are machine-checked against the actual execution:
 
     - {b writes ⊆ defs}: the pre/post state diff only touches claimed defs;
@@ -15,11 +17,28 @@
     - {b kills fully overwrite}: for ℓ ∈ [kills i] ∖ [uses i] the merge
       rule tightens to bit-identity with the baseline.
 
-    An empty result means the tables are consistent with both engines. *)
+    An empty result means the tables are consistent with every executor. *)
+
+(** What ran the instance: a search engine, or the native worker (the
+    check of {!Sandbox.Semantics.step} against silicon). *)
+type executor =
+  | Engine of Sandbox.Exec.engine
+  | Native
+
+val executor_to_string : executor -> string
+
+val executors : unit -> executor list
+(** Both engines, plus [Native] where {!Sandbox.Native.available}. *)
+
+val run_executor :
+  executor -> Sandbox.Machine.t -> Program.t -> Sandbox.Exec.result
+(** Run a program on a machine in place.  [Native] threads the machine
+    through one lane of a shared worker (one per arena size) and falls
+    back to the interpreter wherever it cannot run the program. *)
 
 type violation = {
   instr : Instr.t;
-  engine : Sandbox.Exec.engine;
+  executor : executor;
   detail : string;
 }
 

@@ -11,10 +11,10 @@
 
 type t
 
-val create : ?engine:Sandbox.Exec.engine -> unit -> t
-(** [engine] (default [Compiled]) selects the executor.  Under the
-    compiled engine each distinct program (by physical identity) is
-    translated once per runner and replayed on later calls.
+val create : unit -> t
+(** Kernels run on the compiled engine: each distinct program (by
+    physical identity) is translated once per runner and replayed on
+    later calls.
 
     Caveat: the cache key is physical, so mutating a program in place
     after running it (as the search's transforms do) and running it again

@@ -154,15 +154,6 @@ let optimize_refined ?config ?validation ?(max_rounds = 4) ?(tests = 32)
   in
   go 1
 
-type sweep_point = {
-  eta : Ulp.t;
-  rewrite : Program.t;
-  loc : int;
-  latency : int;
-  speedup : float;
-  validated_err : Ulp.t option;
-}
-
 let default_etas =
   List.init 10 (fun i -> Ulp.of_float (Float.pow 10. (float_of_int (2 * i))))
 
@@ -298,21 +289,9 @@ let precision_sweep ?config ?(validate_results = false) ?etas ?(tests = 32)
             | Some e -> Obs.Json.Float (Ulp.to_float e) );
         ]
   in
-  let r =
-    Search.Frontier.run ~obs ?validator ~on_point ~tests:test_array ~etas
-      fcfg spec
-  in
-  List.map
-    (fun (p : Search.Frontier.point) ->
-      {
-        eta = p.Search.Frontier.eta;
-        rewrite = p.Search.Frontier.rewrite;
-        loc = p.Search.Frontier.loc;
-        latency = p.Search.Frontier.latency;
-        speedup = p.Search.Frontier.speedup;
-        validated_err = p.Search.Frontier.validated_err;
-      })
-    r.Search.Frontier.points
+  (Search.Frontier.run ~obs ?validator ~on_point ~tests:test_array ~etas
+     fcfg spec)
+    .Search.Frontier.points
 
 let error_curve spec rewrite ~inputs =
   if Sandbox.Spec.arity spec <> 1 then

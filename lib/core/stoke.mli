@@ -107,15 +107,6 @@ val optimize_refined :
     [refine_round] event opening each round and a [counterexample] event
     for every input fed back into the test set. *)
 
-type sweep_point = {
-  eta : Ulp.t;
-  rewrite : Program.t;
-  loc : int;
-  latency : int;
-  speedup : float;  (** target latency / rewrite latency *)
-  validated_err : Ulp.t option;  (** [None] when validation was skipped *)
-}
-
 val default_etas : Ulp.t list
 (** The paper's grid: η = 10^0, 10^2, …, 10^18. *)
 
@@ -167,7 +158,7 @@ val precision_sweep :
   ?obs:Obs.Sink.t ->
   seed:int64 ->
   Sandbox.Spec.t ->
-  sweep_point list
+  Search.Frontier.point list
 (** One search per η (Figures 4(a–c) and 5(a)).  When the search finds no
     η-correct rewrite better than the target, the point reports the target
     itself (speedup 1.0).  [obs] receives each search's stream followed

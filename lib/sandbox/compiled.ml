@@ -734,3 +734,10 @@ let exec (t : t) : Exec.result =
     Exec.Counters.record ~run_cycles:cycles ~run_instrs:executed
       ~faulted:(match outcome with Exec.Finished -> false | Exec.Faulted _ -> true);
   { Exec.outcome; cycles; executed }
+
+let prepare engine m p =
+  match engine with
+  | Exec.Interp -> fun () -> Exec.run m p
+  | Exec.Compiled ->
+    let cp = compile m p in
+    fun () -> exec cp

@@ -30,3 +30,9 @@ val length : t -> int
 val exec : t -> Exec.result
 (** Run the compiled trace on its machine, stopping at the first fault.
     Feeds {!Exec.Counters} when enabled, like {!Exec.run}. *)
+
+val prepare : Exec.engine -> Machine.t -> Program.t -> unit -> Exec.result
+(** [prepare engine m p] is a run thunk for [p] on [m] under [engine]:
+    [Compiled] translates once here and each call replays {!exec};
+    [Interp] steps {!Exec.run} afresh on every call.  Either way each
+    call runs [p] against [m]'s current state, bit-identically. *)

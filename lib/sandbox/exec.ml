@@ -5,26 +5,10 @@ type outcome =
 type engine =
   | Interp
   | Compiled
-  | Batched
-  | Native
 
 let engine_to_string = function
   | Interp -> "interp"
   | Compiled -> "compiled"
-  | Batched -> "batched"
-  | Native -> "native"
-
-let engine_names = [ "interp"; "compiled"; "batched"; "native" ]
-
-let engine_of_string = function
-  | "interp" -> Ok Interp
-  | "compiled" -> Ok Compiled
-  | "batched" -> Ok Batched
-  | "native" -> Ok Native
-  | s ->
-    Error
-      (Printf.sprintf "unknown engine %S (valid: %s)" s
-         (String.concat ", " engine_names))
 
 type result = {
   outcome : outcome;

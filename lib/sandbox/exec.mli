@@ -5,31 +5,18 @@ type outcome =
   | Finished
   | Faulted of Semantics.fault
 
-(** Which execution engine evaluates proposals.  [Interp] steps
+(** Which executor evaluates proposals.  [Interp] steps
     {!Semantics.step} over the program on every run — the reference.
     [Compiled] translates the program once into specialized closures
-    ({!Compiled.compile}) and replays them per test case.  [Batched]
-    ({!Batched}) also translates once, but runs {e all} test cases
-    through each instruction before advancing to the next, over
-    struct-of-arrays register planes.  [Native] ({!Native}) encodes the
-    program into real x86-64 machine code and runs it in a guarded
-    worker child process, falling back to [Batched] per proposal for
-    forms the encoder can't emit natively.  All four are bit-identical;
-    [Compiled] is the default everywhere, [Interp] the oracle the others
-    are differentially tested against. *)
+    ({!Compiled.compile}) and replays them per test case.  The two are
+    bit-identical; [Compiled] is the default everywhere, [Interp] the
+    oracle it is differentially tested against.  {!Compiled.prepare}
+    is the one function that runs a program under a given engine. *)
 type engine =
   | Interp
   | Compiled
-  | Batched
-  | Native
-
-val engine_names : string list
-(** Valid spellings for {!engine_of_string}, in declaration order. *)
 
 val engine_to_string : engine -> string
-
-val engine_of_string : string -> (engine, string) result
-(** [Error msg] names the rejected spelling and lists the valid ones. *)
 
 type result = {
   outcome : outcome;

@@ -1,4 +1,4 @@
-(* Native engine: candidates are encoded with X86.Encoder into a
+(* Native executor: candidates are encoded with X86.Encoder into a
    trampoline and executed as real machine code inside a guarded worker
    child (native_stubs.c).
 
@@ -32,7 +32,6 @@ external nat_write_arena : handle -> int -> Bytes.t -> unit = "stoke_native_writ
 external nat_request : handle -> int -> int -> int -> int = "stoke_native_request"
 external nat_read_results : handle -> Bytes.t -> unit = "stoke_native_read_results"
 external nat_read_mem : handle -> int -> Bytes.t -> unit = "stoke_native_read_mem"
-external nat_respawns : handle -> int = "stoke_native_respawns"
 
 (* ----- layout constants (mirrored in native_stubs.c) ----- *)
 
@@ -673,10 +672,7 @@ and t = {
   has_stores : bool;
 }
 
-let lane_count b = b.nlanes
-let length t = t.nactive
 let code t = Bytes.sub_string t.cbytes 0 t.clen
-let respawns b = nat_respawns b.h
 
 let create_batch ?(want_mem = false) (pristine : Machine.t) tests =
   let n = Array.length tests in
@@ -866,21 +862,6 @@ let exec (t : t) =
   end
 
 let crash_fault = Semantics.Sigill "native worker crashed"
-
-let fault (b : batch) ~lane =
-  if b.crashed then Some crash_fault
-  else begin
-    let off = lane * res_sz in
-    let status = Int32.to_int (Bytes.get_int32_le b.results off) in
-    if status = 0 then None
-    else
-      match b.last with
-      | None -> None
-      | Some t ->
-        (match (result_of b t lane).Exec.outcome with
-         | Exec.Faulted f -> Some f
-         | Exec.Finished -> None)
-  end
 
 let result (b : batch) ~lane =
   match b.last with

@@ -1,5 +1,10 @@
-(** Native execution engine: candidates JIT-encoded with {!X86.Encoder}
-    and run as real machine code inside a guarded worker child process.
+(** Native executor: programs JIT-encoded with {!X86.Encoder} and run
+    as real machine code inside a guarded worker child process.
+
+    Not a search engine: it is the check of {!Semantics.step} against
+    real silicon, used by the native differential tests, by
+    [Analysis.Oracle]'s native instances and by [stoke encode]'s
+    trampoline dump.
 
     A {!batch} forks one long-lived worker and maps a shared-memory
     region between parent and child.  {!compile} wraps each proposal's
@@ -12,8 +17,8 @@
     handlers, and the parent enforces a deadline and transparently
     respawns a crashed worker.
 
-    Bit-identity: {!compile} returns [None] — and the caller falls back
-    to {!Batched} — for any program containing an instruction whose
+    Bit-identity: {!compile} returns [None] — nothing to compare — for
+    any program containing an instruction whose
     hardware behaviour is not bit-identical to {!Semantics.step} (or
     that {!X86.Encoder} cannot emit).  For the accepted subset, guard
     faults reproduce the interpreter's fault kind, address and position
@@ -28,7 +33,7 @@ val available : unit -> bool
 val native_instr : Instr.t -> bool
 (** Whether the instruction's hardware semantics are bit-identical to
     the interpreter's (and encodable).  Programs with any non-native
-    instruction must run on a fallback engine. *)
+    instruction have no native trampoline. *)
 
 type batch
 (** A worker process plus N baked test-case lanes.  Create once per
@@ -47,21 +52,16 @@ val create_batch :
     [base + size] exceeds the trampoline's 2 GiB addressing limit.
     Raises [Invalid_argument] on an empty test array. *)
 
-val lane_count : batch -> int
-
 val reset : batch -> unit
 (** Restore lanes touched by {!apply_testcase} to their baked images. *)
 
 val apply_testcase : batch -> lane:int -> Testcase.t -> unit
 (** Overlay a test case onto one lane's current state, as
-    {!Batched.apply_testcase}. *)
+    {!Testcase.apply} does on a machine. *)
 
 val compile : batch -> Program.t -> t option
 (** Encode the trampoline for [p], or [None] if any active instruction
     fails {!native_instr}.  O(program length). *)
-
-val length : t -> int
-(** Number of active (encoded) instructions. *)
 
 val code : t -> string
 (** The raw trampoline bytes, for inspection ([stoke encode]). *)
@@ -70,9 +70,7 @@ val exec : t -> bool
 (** Run every lane through the worker.  Returns [true] when the worker
     crashed or hung (it has been respawned; every lane of this run
     reports a crash fault), [false] on a normal run — faulting lanes
-    report per-lane via {!fault}. *)
-
-val fault : batch -> lane:int -> Semantics.fault option
+    report per-lane via {!result}. *)
 
 val result : batch -> lane:int -> Exec.result
 (** The lane's outcome/cycles/executed triple, bit-identical to
@@ -91,9 +89,6 @@ val run_one : batch -> t -> Machine.t -> Exec.result option
     (registers, flags and full memory image), run, and write the
     results — including memory — back into [m].  [None] when the worker
     crashed or the run hit a hardware fault the guards did not predict —
-    divergent cases the caller must re-run on a fallback engine ([m] is
+    divergent cases the caller must re-run on the interpreter ([m] is
     untouched).  The batch must have been created with
     [~want_mem:true]. *)
-
-val respawns : batch -> int
-(** Worker respawns since {!create_batch} (crashes and timeouts). *)

@@ -93,7 +93,6 @@ typedef struct {
   int ack_r, ack_w;   /* completion pipe, fresh per child (see spawn_child) */
   int single_cpu;     /* spinning would only steal the child's timeslice */
   int code_dirty;     /* code bytes written since the last request */
-  int respawns;
 } worker_t;
 
 static inline ctl_t *ctl_of(worker_t *w) { return (ctl_t *)w->shm; }
@@ -430,7 +429,6 @@ respawn:
   c->req = 0;
   c->done = 0;
   c->sleeping = 0;
-  w->respawns++;
   if (spawn_child(w) != 0) return 2;
   return 1;
 }
@@ -634,11 +632,5 @@ CAMLprim value stoke_native_read_mem(value vw, value vlane, value vbytes) {
   memcpy(Bytes_val(vbytes), memout_of(w) + (size_t)l * w->mem_size,
          w->mem_size);
   CAMLreturn(Val_unit);
-}
-
-CAMLprim value stoke_native_respawns(value vw) {
-  CAMLparam1(vw);
-  worker_t *w = get_worker(vw);
-  CAMLreturn(Val_int(w->respawns));
 }
 

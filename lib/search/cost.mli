@@ -23,10 +23,7 @@
       pruned evaluation is exactly a rejected proposal.  Sound under
       both reductions: the running [Max] is exact, and a running [Sum]
       of non-negative terms is a monotone lower bound on the final sum
-      computed in the same (pinned, see below) order.  Under the
-      batched engine the cutoff also acts at batch granularity: a lane
-      fault that provably forces rejection aborts the whole proposal
-      mid-run.
+      computed in the same (pinned, see below) order.
     - {b Adaptive test order}: the test that triggered an abort moves to
       the front of a per-context permutation, so discriminating tests run
       first.  Order never changes results — the [Max] reduction is
@@ -87,10 +84,8 @@ val create :
     [use_cache] (default [true]) enables the proposal cost cache.
     [engine] (default [Compiled]) selects how proposals execute: the
     compiled engine translates each proposal once ({!Sandbox.Compiled})
-    and replays it per test case; the batched engine translates once
-    and runs all test cases lane-wise through each instruction
-    ({!Sandbox.Batched}); the interpreter steps it afresh every run.
-    All three produce bit-identical costs. *)
+    and replays it per test case; the interpreter steps it afresh every
+    run.  Both produce bit-identical costs. *)
 
 val spec : t -> Sandbox.Spec.t
 val params : t -> params
@@ -108,9 +103,7 @@ type cost = {
 (** How far a cutoff evaluation got before the partial cost provably
     exceeded the bound. *)
 type pruned = {
-  tests_run : int;  (** test cases executed before aborting (≥ 1); the
-                        batched engine starts every lane, so this is
-                        always the full test count there *)
+  tests_run : int;  (** test cases executed before aborting (≥ 1) *)
   eq_partial : float;  (** accumulated eq at the abort — a lower bound *)
 }
 
@@ -148,28 +141,6 @@ val compile_count : t -> int
 
 val compiled_runs : t -> int
 (** Test-case runs executed through the compiled engine. *)
-
-val batched_runs : t -> int
-(** Lane-runs started through the batched engine (test cases × evaluated
-    proposals; a batch-aborted lane still counts — it ran). *)
-
-val batch_prunes : t -> int
-(** Proposals aborted mid-run at batch granularity (a lane fault alone
-    proved rejection).  A subset of {!pruned_evals}. *)
-
-val native_runs : t -> int
-(** Lane-runs executed as machine code in the native worker. *)
-
-val encode_count : t -> int
-(** Proposals encoded and shipped to the native worker (once per
-    evaluated proposal that the encoder accepted). *)
-
-val encoder_fallbacks : t -> int
-(** Proposals the native engine handed to the batched fallback because
-    some instruction was unencodable or not bit-identical in hardware. *)
-
-val worker_respawns : t -> int
-(** Native worker processes respawned after a crash or timeout. *)
 
 val correct : cost -> bool
 (** [eq = 0.] *)

@@ -52,12 +52,6 @@ type result = {
   cache_hits : int;
   compile_count : int;
   compiled_runs : int;
-  batched_runs : int;
-  batch_prunes : int;
-  native_runs : int;
-  encode_count : int;
-  encoder_fallbacks : int;
-  worker_respawns : int;
   static_rejects : int;
   moves : move_stats;
   stop_reason : Control.stop_reason;
@@ -131,12 +125,6 @@ type anchors = {
   hits0 : int;
   compiles0 : int;
   cruns0 : int;
-  bruns0 : int;
-  bprunes0 : int;
-  nruns0 : int;
-  encodes0 : int;
-  efallbacks0 : int;
-  respawns0 : int;
 }
 
 (* Shared by the log-spaced "checkpoint" and the fixed-cadence "progress"
@@ -158,14 +146,6 @@ let emit_point obs name ~chain ~iter ~anchors ctx state ~current_total =
       ("cache_hits", Obs.Json.Int (Cost.cache_hits ctx - anchors.hits0));
       ("compile_count", Obs.Json.Int (Cost.compile_count ctx - anchors.compiles0));
       ("compiled_runs", Obs.Json.Int (Cost.compiled_runs ctx - anchors.cruns0));
-      ("batched_runs", Obs.Json.Int (Cost.batched_runs ctx - anchors.bruns0));
-      ("batch_prunes", Obs.Json.Int (Cost.batch_prunes ctx - anchors.bprunes0));
-      ("native_runs", Obs.Json.Int (Cost.native_runs ctx - anchors.nruns0));
-      ("encode_count", Obs.Json.Int (Cost.encode_count ctx - anchors.encodes0));
-      ( "encoder_fallbacks",
-        Obs.Json.Int (Cost.encoder_fallbacks ctx - anchors.efallbacks0) );
-      ( "worker_respawns",
-        Obs.Json.Int (Cost.worker_respawns ctx - anchors.respawns0) );
       ("static_rejects", Obs.Json.Int state.static_rejects);
       ("elapsed_s", Obs.Json.Float elapsed);
       ( "evals_per_s",
@@ -347,12 +327,6 @@ let run_from ?(obs = Obs.Sink.null) ?progress_every ?control ?(chain_id = 0)
       hits0 = Cost.cache_hits ctx;
       compiles0 = Cost.compile_count ctx;
       cruns0 = Cost.compiled_runs ctx;
-      bruns0 = Cost.batched_runs ctx;
-      bprunes0 = Cost.batch_prunes ctx;
-      nruns0 = Cost.native_runs ctx;
-      encodes0 = Cost.encode_count ctx;
-      efallbacks0 = Cost.encoder_fallbacks ctx;
-      respawns0 = Cost.worker_respawns ctx;
     }
   in
   let control =
@@ -524,12 +498,6 @@ let run_from ?(obs = Obs.Sink.null) ?progress_every ?control ?(chain_id = 0)
       cache_hits = Cost.cache_hits ctx - anchors.hits0;
       compile_count = Cost.compile_count ctx - anchors.compiles0;
       compiled_runs = Cost.compiled_runs ctx - anchors.cruns0;
-      batched_runs = Cost.batched_runs ctx - anchors.bruns0;
-      batch_prunes = Cost.batch_prunes ctx - anchors.bprunes0;
-      native_runs = Cost.native_runs ctx - anchors.nruns0;
-      encode_count = Cost.encode_count ctx - anchors.encodes0;
-      encoder_fallbacks = Cost.encoder_fallbacks ctx - anchors.efallbacks0;
-      worker_respawns = Cost.worker_respawns ctx - anchors.respawns0;
       static_rejects = state.static_rejects;
       moves = state.moves;
       stop_reason;
@@ -563,12 +531,6 @@ let run_from ?(obs = Obs.Sink.null) ?progress_every ?control ?(chain_id = 0)
         ("cache_hits", Obs.Json.Int result.cache_hits);
         ("compile_count", Obs.Json.Int result.compile_count);
         ("compiled_runs", Obs.Json.Int result.compiled_runs);
-        ("batched_runs", Obs.Json.Int result.batched_runs);
-        ("batch_prunes", Obs.Json.Int result.batch_prunes);
-        ("native_runs", Obs.Json.Int result.native_runs);
-        ("encode_count", Obs.Json.Int result.encode_count);
-        ("encoder_fallbacks", Obs.Json.Int result.encoder_fallbacks);
-        ("worker_respawns", Obs.Json.Int result.worker_respawns);
         ("static_rejects", Obs.Json.Int result.static_rejects);
         ( "stop_reason",
           Obs.Json.String (Control.stop_reason_to_string result.stop_reason) );

@@ -87,23 +87,6 @@ type result = {
       (** proposals translated by the compiled engine (0 under [Interp]) *)
   compiled_runs : int;
       (** test-case runs executed through the compiled engine *)
-  batched_runs : int;
-      (** lane-runs started through the batched engine (0 under the
-          other engines) *)
-  batch_prunes : int;
-      (** proposals aborted mid-run at batch granularity — a lane fault
-          alone proved rejection; a subset of [pruned_evals] *)
-  native_runs : int;
-      (** lane-runs executed as machine code in the native worker (0
-          under the other engines) *)
-  encode_count : int;
-      (** proposals encoded and shipped to the native worker *)
-  encoder_fallbacks : int;
-      (** proposals the native engine handed to the batched fallback
-          because an instruction was unencodable or not bit-identical in
-          hardware *)
-  worker_respawns : int;
-      (** native worker processes respawned after a crash or timeout *)
   static_rejects : int;
       (** proposals rejected by the static undef-read screen, before any
           cost evaluation *)
@@ -117,7 +100,7 @@ type result = {
           domains whose chain crashed *)
 }
 
-(** The counter fields ([evaluations] … [worker_respawns]) are {e anchored}:
+(** The counter fields ([evaluations] … [compiled_runs]) are {e anchored}:
     they count this run's work only, matching the [search_end] telemetry,
     even when the same {!Cost.t} context (and its monotonically growing
     counters) is reused across several runs. *)

@@ -298,11 +298,17 @@ let atomic_write_string ~path contents =
     Printf.sprintf "%s.%d.%d.tmp" path (Unix.getpid ())
       (Atomic.fetch_and_add tmp_counter 1)
   in
+  (* The final flush happens in [close_out], so it is the close that
+     reports a full disk or a file-size limit: check it, and rename only
+     after a clean close — a truncated tmp must never replace [path]. *)
   (try
      let oc = open_out tmp in
-     Fun.protect
-       ~finally:(fun () -> close_out_noerr oc)
-       (fun () -> output_string oc contents)
+     try
+       output_string oc contents;
+       close_out oc
+     with e ->
+       close_out_noerr oc;
+       raise e
    with e ->
      (try Sys.remove tmp with Sys_error _ -> ());
      raise e);

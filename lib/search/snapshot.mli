@@ -62,9 +62,11 @@ val atomic_write_string : path:string -> string -> unit
     process-wide counter, so concurrent writers — even into the same
     directory from several domains or processes — never share a tmp
     name), then rename it over [path].  A reader always sees either the
-    old image or a complete new one; the staging file is removed on
-    failure.  Shared by {!write}, {!Frontier.write_snapshot}, and the
-    serve daemon's job/result files. *)
+    old image or a complete new one.  A failed write or final flush
+    (full disk, file-size limit) raises [Sys_error] and removes the
+    staging file, leaving [path] untouched.  Shared by {!write},
+    {!Frontier.write_snapshot}, and the serve daemon's job/result
+    files. *)
 
 val write : path:string -> t -> unit
 (** Atomic via {!atomic_write_string}: a crash mid-write never leaves a

@@ -7,10 +7,9 @@ type t
 val create :
   ?engine:Sandbox.Exec.engine -> Sandbox.Spec.t -> rewrite:Program.t -> t
 (** [engine] (default [Compiled]) selects the executor.  Under the
-    compiled and batched engines the target and the rewrite are each
-    translated once here and replayed per evaluation (the batched
-    engine runs a single lane, with each sampled input overlaid per
-    call).  All engines produce bit-identical errors. *)
+    compiled engine the target and the rewrite are each translated once
+    here and replayed per evaluation.  Both engines produce
+    bit-identical errors. *)
 
 val eval : t -> float array -> float
 (** [eval e xs] evaluates the error on the test case assembled from the

@@ -4,8 +4,9 @@
     2- and 3-byte VEX) for every opcode in {!Opcode.t}.  This is the
     "JIT assembler" part of the paper's engineering contribution: the
     bytes are tested against known-good encodings, round-tripped through
-    {!Decoder}, and — under [--engine=native] — executed as real machine
-    code by {!Sandbox.Native}'s guarded worker process. *)
+    {!Decoder}, and executed as real machine code by [Sandbox.Native]'s
+    guarded worker process in the native differential tests, which check
+    the interpreter's semantics against the hardware. *)
 
 val encode_instr : Instr.t -> (string, string) result
 (** Machine-code bytes for one instruction, or a description of why the

@@ -1009,186 +1009,7 @@ let prop_compiled_matches_interp =
 let compiled_props =
   List.map QCheck_alcotest.to_alcotest [ prop_compiled_matches_interp ]
 
-(* ----- batched engine: per-lane differential vs interp and compiled ----- *)
-
-(* Run [p] once through an N-lane batch and compare every lane against a
-   reference engine run on its own identically-prepared machine: outcome,
-   fault kind and position (via executed), cycles, registers, flags, and
-   memory must all match per lane. *)
-let batched_lane_mismatch ?(mem_size = 4096) ?(vs = `Interp) ~prepare tcs p =
-  let pristine = Sandbox.Machine.create ~mem_size () in
-  prepare pristine;
-  let b = Sandbox.Batched.create_batch pristine tcs in
-  let bp = Sandbox.Batched.compile b p in
-  let (_aborted : bool) = Sandbox.Batched.exec bp in
-  let reference m =
-    match vs with
-    | `Interp -> Sandbox.Exec.run m p
-    | `Compiled -> Sandbox.Compiled.exec (Sandbox.Compiled.compile m p)
-  in
-  let vs_name = match vs with `Interp -> "interp" | `Compiled -> "compiled" in
-  let n = Array.length tcs in
-  let rec go lane =
-    if lane >= n then None
-    else begin
-      let mr = Sandbox.Machine.create ~mem_size () in
-      prepare mr;
-      Sandbox.Testcase.apply tcs.(lane) mr;
-      let rr = reference mr in
-      let rb = Sandbox.Batched.result b ~lane in
-      let fail msg = Some (Printf.sprintf "lane %d: %s" lane msg) in
-      if not (outcome_equal rr.Sandbox.Exec.outcome rb.Sandbox.Exec.outcome)
-      then
-        fail
-          (Printf.sprintf "outcome: %s %s vs batched %s" vs_name
-             (Sandbox.Exec.outcome_to_string rr.Sandbox.Exec.outcome)
-             (Sandbox.Exec.outcome_to_string rb.Sandbox.Exec.outcome))
-      else if rr.Sandbox.Exec.executed <> rb.Sandbox.Exec.executed then
-        fail
-          (Printf.sprintf "executed: %s %d vs batched %d" vs_name
-             rr.Sandbox.Exec.executed rb.Sandbox.Exec.executed)
-      else if rr.Sandbox.Exec.cycles <> rb.Sandbox.Exec.cycles then
-        fail
-          (Printf.sprintf "cycles: %s %d vs batched %d" vs_name
-             rr.Sandbox.Exec.cycles rb.Sandbox.Exec.cycles)
-      else begin
-        let lm = Sandbox.Batched.lane_machine b ~lane in
-        if mr.Sandbox.Machine.gp <> lm.Sandbox.Machine.gp then
-          fail "gp registers differ"
-        else if mr.Sandbox.Machine.xmm <> lm.Sandbox.Machine.xmm then
-          fail "xmm registers differ"
-        else if mr.Sandbox.Machine.flags <> lm.Sandbox.Machine.flags then
-          fail "flags differ"
-        else if
-          not (Sandbox.Memory.equal mr.Sandbox.Machine.mem lm.Sandbox.Machine.mem)
-        then fail "memory differs"
-        else go (lane + 1)
-      end
-    end
-  in
-  go 0
-
-let batched_tests =
-  [
-    Alcotest.test_case
-      "batched matches interpreter on every opcode shape (3 fault lanes)"
-      `Quick (fun () ->
-        let operand_of_kind (k : Shape.kind) =
-          match k with
-          | Shape.K_gp _ -> Operand.Gp Reg.Rcx
-          | Shape.K_xmm -> Operand.Xmm Reg.Xmm1
-          | Shape.K_imm8 -> Operand.Imm 3L
-          | Shape.K_imm32 -> Operand.Imm 1000L
-          | Shape.K_imm64 -> Operand.Imm 0x3ff0_0000_0000_0000L
-          | Shape.K_mem _ ->
-            Operand.Mem { Operand.base = Some Reg.Rdi; index = None; disp = 16 }
-        in
-        (* the three fault regimes run as lanes of ONE batch, so a memory
-           shape exercises per-lane parking: the in-arena lane finishes
-           while the misaligned / out-of-bounds lanes latch their faults *)
-        let tcs =
-          Array.map
-            (fun rdi -> Sandbox.Testcase.(with_gp Reg.Rdi rdi empty))
-            [| base; Int64.add base 4L; 0x10L |]
-        in
-        let prepare m =
-          Sandbox.Machine.set_gp m Reg.Rcx 0x1234_5678_9abc_def0L;
-          Sandbox.Machine.set_xmm m Reg.Xmm0
-            (Int64.bits_of_float 3.25, 0x7ff8_0000_0000_0001L);
-          Sandbox.Machine.set_xmm m Reg.Xmm1
-            (Int64.bits_of_float 1.5, Int64.bits_of_float (-0.75));
-          Sandbox.Memory.set_bytes m.Sandbox.Machine.mem base
-            (String.init 64 (fun j -> Char.chr ((j * 37 + 11) land 0xff)))
-        in
-        List.iter
-          (fun op ->
-            List.iter
-              (fun shape ->
-                let i =
-                  Instr.make_unchecked op (Array.map operand_of_kind shape)
-                in
-                if Instr.is_well_formed i then
-                  let p = Program.of_instrs [ i ] in
-                  match batched_lane_mismatch ~prepare tcs p with
-                  | None -> ()
-                  | Some msg ->
-                    Alcotest.failf "%s: %s" (Instr.to_string i) msg)
-              (Shape.shapes op))
-          Opcode.all);
-    Alcotest.test_case "batched reset replay is bit-stable across runs"
-      `Quick (fun () ->
-        let spec = Kernels.S3d.exp_spec in
-        let g = Rng.Xoshiro256.create 17L in
-        let tcs = Array.init 8 (fun _ -> Sandbox.Spec.random_testcase g spec) in
-        let pristine =
-          Sandbox.Machine.create ~mem_size:spec.Sandbox.Spec.mem_size ()
-        in
-        let b = Sandbox.Batched.create_batch pristine tcs in
-        let bp = Sandbox.Batched.compile b spec.Sandbox.Spec.program in
-        let snapshot () =
-          let (_aborted : bool) = Sandbox.Batched.exec bp in
-          Array.init (Array.length tcs) (fun lane ->
-              ( Sandbox.Batched.result b ~lane,
-                Sandbox.Batched.read_outputs b ~lane spec ))
-        in
-        let first = snapshot () in
-        for _ = 1 to 5 do
-          Sandbox.Batched.reset b;
-          let again = snapshot () in
-          Array.iteri
-            (fun lane (r0, o0) ->
-              let r1, o1 = again.(lane) in
-              if not (outcome_equal r0.Sandbox.Exec.outcome r1.Sandbox.Exec.outcome)
-              then Alcotest.failf "lane %d outcome drifted after reset" lane;
-              if r0.Sandbox.Exec.cycles <> r1.Sandbox.Exec.cycles then
-                Alcotest.failf "lane %d cycles drifted after reset" lane;
-              if o0 <> o1 then
-                Alcotest.failf "lane %d outputs drifted after reset" lane)
-            first
-        done);
-  ]
-
-(* Random pool-drawn programs on random multi-lane batches: the batched
-   engine must agree with both scalar engines on every lane's outcome,
-   fault kind and position, cycles, registers, flags, and memory. *)
-let prop_batched_matches_scalar_engines =
-  let specs = [| Kernels.Aek_kernels.add_spec; Kernels.S3d.exp_spec |] in
-  let pools =
-    Array.map
-      (fun (spec : Sandbox.Spec.t) ->
-        Search.Pools.make ~target:spec.Sandbox.Spec.program ~spec)
-      specs
-  in
-  QCheck.Test.make
-    ~name:"batched engine is bit-identical to interp and compiled per lane"
-    ~count:300
-    QCheck.(pair (int_bound 1_000_000) (int_range 1 12))
-    (fun (seed, len) ->
-      let which = seed land 1 in
-      let spec = specs.(which) in
-      let g = Rng.Xoshiro256.create (Int64.of_int ((seed * 2) + 1)) in
-      let instrs =
-        List.init len (fun _ -> Search.Pools.random_instr g pools.(which))
-      in
-      let p = Program.of_instrs instrs in
-      let tcs = Array.init 4 (fun _ -> Sandbox.Spec.random_testcase g spec) in
-      let prepare _ = () in
-      let check vs =
-        match
-          batched_lane_mismatch ~mem_size:spec.Sandbox.Spec.mem_size ~vs
-            ~prepare tcs p
-        with
-        | None -> true
-        | Some msg ->
-          QCheck.Test.fail_reportf "engines disagree: %s\nprogram:\n%s" msg
-            (Program.to_string p)
-      in
-      check `Interp && check `Compiled)
-
-let batched_props =
-  List.map QCheck_alcotest.to_alcotest [ prop_batched_matches_scalar_engines ]
-
-(* ----- native engine: differential equivalence vs the interpreter -----
+(* ----- native executor: differential equivalence vs the interpreter -----
 
    These run real machine code in the guarded worker, so the whole
    section is behind the capability probe: where mmap-exec is denied the
@@ -1197,7 +1018,7 @@ let batched_props =
 (* Run [p] natively on all lanes and compare every lane against a fresh
    interpreter run: result triple (outcome incl. fault kind+address,
    executed, cycles), registers, flags, and memory.  [Ok `Fallback] when
-   the native engine would not run this program (unencodable or not
+   the native executor would not run this program (unencodable or not
    bit-identical in hardware — nothing to check); [Error msg] on any
    divergence. *)
 let native_lane_mismatch ?(mem_size = 4096) ~prepare tcs p =
@@ -1284,9 +1105,9 @@ let native_tests =
           | Shape.K_mem _ ->
             Operand.Mem { Operand.base = Some Reg.Rdi; index = None; disp = 16 }
         in
-        (* same three fault regimes as the batched differential: one lane
-           lands in the arena, one is misaligned for 16-byte accesses,
-           one is far out of bounds — so guard faults must reproduce the
+        (* three fault regimes, one per lane: one lane lands in the
+           arena, one is misaligned for 16-byte accesses, one is far out
+           of bounds — so guard faults must reproduce the
            interpreter's fault kind, address and position exactly *)
         let tcs =
           Array.map
@@ -1436,31 +1257,6 @@ let native_tests =
           rn.Sandbox.Exec.cycles;
         Alcotest.(check bool) "machine state identical (incl. memory)" true
           (machine_equal mn mi));
-    Alcotest.test_case "engine_of_string covers native and lists names"
-      `Quick (fun () ->
-        let contains_sub s sub =
-          let n = String.length s and m = String.length sub in
-          let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-          go 0
-        in
-        List.iter
-          (fun name ->
-            match Sandbox.Exec.engine_of_string name with
-            | Ok e ->
-              Alcotest.(check string)
-                "round-trips" name
-                (Sandbox.Exec.engine_to_string e)
-            | Error e -> Alcotest.failf "%s rejected: %s" name e)
-          Sandbox.Exec.engine_names;
-        match Sandbox.Exec.engine_of_string "jit" with
-        | Ok _ -> Alcotest.fail "accepted an unknown engine"
-        | Error msg ->
-          List.iter
-            (fun name ->
-              Alcotest.(check bool)
-                (Printf.sprintf "error mentions %s" name)
-                true (contains_sub msg name))
-            Sandbox.Exec.engine_names);
     Alcotest.test_case "memory read at Int64.max_int is an error, not a trap"
       `Quick (fun () ->
         let mem = Sandbox.Memory.create 64 in
@@ -1521,8 +1317,6 @@ let () =
       ("restore", restore_tests);
       ("compiled", compiled_tests);
       ("compiled-properties", compiled_props);
-      ("batched", batched_tests);
-      ("batched-properties", batched_props);
       ("native", native_tests);
       ("native-properties", native_props);
       ("properties", props);

@@ -89,18 +89,18 @@ let sweep_tests =
         in
         Alcotest.(check int) "three points" 3 (List.length points);
         List.iter
-          (fun (p : Stoke.sweep_point) ->
-            Alcotest.(check bool) "speedup >= 1" true (p.Stoke.speedup >= 1.0);
+          (fun { Search.Frontier.speedup; loc; _ } ->
+            Alcotest.(check bool) "speedup >= 1" true (speedup >= 1.0);
             Alcotest.(check bool)
               "loc <= target" true
-              (p.Stoke.loc <= Program.length Kernels.S3d.exp_program))
+              (loc <= Program.length Kernels.S3d.exp_program))
           points;
         (* the largest-eta point should be no slower than the strictest *)
         let first = List.hd points in
         let last = List.nth points 2 in
         Alcotest.(check bool)
           "looser eta at least as fast" true
-          (last.Stoke.speedup >= first.Stoke.speedup));
+          (last.Search.Frontier.speedup >= first.Search.Frontier.speedup));
     Alcotest.test_case "default eta grid spans 1 to 1e18" `Quick (fun () ->
         Alcotest.(check int) "ten points" 10 (List.length Stoke.default_etas);
         Alcotest.(check int64) "first" 1L (List.hd Stoke.default_etas);

@@ -499,7 +499,7 @@ let roundtrip_equal (i : Instr.t) (j : Instr.t) =
 (* Exhaustive encode↔decode round-trip: every opcode × shape instance,
    with operand variants that exercise the REX/VEX extension bits, SIB
    scaling, and negative displacements.  Instances the encoder rejects
-   are merely counted (the native engine falls back to batched for
+   are merely counted (the native executor has no trampoline for
    those); everything it accepts must decode back to the same
    instruction from exactly the bytes it produced. *)
 let roundtrip_tests =
