@@ -10,7 +10,12 @@
     distrust them. *)
 
 type env
-(** Packed set of initially-defined locations. *)
+(** Packed set of initially-defined locations, plus a per-slot memo of
+    each instruction's use/def masks ({!Slot_memo}): a call re-derives
+    masks only for slots whose instruction changed since the previous
+    call.  The memo is mutable, so an env belongs to one search chain
+    (one domain) at a time; verdicts never depend on what it has
+    seen. *)
 
 val env_of_spec : Sandbox.Spec.t -> env
 (** The spec's inputs ([Sandbox.Spec.live_in_set]) plus the

@@ -23,9 +23,10 @@ open X86
 exception Fault of Semantics.fault
 
 type t = {
-  steps : (unit -> unit) array;
-  lat_prefix : int array;
+  mutable steps : (unit -> unit) array;
+  mutable lat_prefix : int array;
       (* lat_prefix.(k) = cycles after executing the first k closures *)
+  mutable len : int;  (* closures in use; the arrays may be longer *)
 }
 
 let xi r = 2 * Reg.xmm_index r
@@ -689,29 +690,55 @@ let instr_closure (m : Machine.t) (i : Instr.t) : unit -> unit =
   if Array.length i.Instr.operands = 0 then generic_closure m i
   else specialize m i
 
-let compile (m : Machine.t) (p : Program.t) : t =
-  let active =
-    Array.of_seq
-      (Seq.filter_map
-         (function
-           | Program.Unused -> None
-           | Program.Active i -> Some i)
-         (Array.to_seq p.Program.slots))
-  in
-  let n = Array.length active in
-  let steps = Array.make n (fun () -> ()) in
-  let lat_prefix = Array.make (n + 1) 0 in
-  for k = 0 to n - 1 do
-    steps.(k) <- instr_closure m active.(k);
-    lat_prefix.(k + 1) <- lat_prefix.(k) + Latency.of_instr active.(k)
-  done;
-  { steps; lat_prefix }
+(* One slot's translation: its closure and its latency. *)
+type slot_code = {
+  run : unit -> unit;
+  lat : int;
+}
 
-let length t = Array.length t.steps
+type cache = {
+  slots : slot_code Slot_memo.t;
+  trace : t;
+}
+
+let cache (m : Machine.t) =
+  {
+    slots =
+      Slot_memo.create (fun i -> { run = instr_closure m i; lat = Latency.of_instr i });
+    trace = { steps = [||]; lat_prefix = [| 0 |]; len = 0 };
+  }
+
+let nop () = ()
+
+let recompile (c : cache) (p : Program.t) : t =
+  let slots = p.Program.slots in
+  let tr = c.trace in
+  if Array.length tr.steps < Array.length slots then begin
+    tr.steps <- Array.make (Array.length slots) nop;
+    tr.lat_prefix <- Array.make (Array.length slots + 1) 0
+  end;
+  let n = ref 0 in
+  for k = 0 to Array.length slots - 1 do
+    match slots.(k) with
+    | Program.Unused -> ()
+    | Program.Active _ ->
+      let code = Slot_memo.get c.slots p k in
+      tr.steps.(!n) <- code.run;
+      tr.lat_prefix.(!n + 1) <- tr.lat_prefix.(!n) + code.lat;
+      incr n
+  done;
+  tr.len <- !n;
+  tr
+
+let compile (m : Machine.t) (p : Program.t) : t = recompile (cache m) p
+
+let length t = t.len
+
+let latency t = t.lat_prefix.(t.len)
 
 let exec (t : t) : Exec.result =
   let steps = t.steps in
-  let n = Array.length steps in
+  let n = t.len in
   let i = ref 0 in
   let outcome =
     try

@@ -27,6 +27,28 @@ val compile : Machine.t -> Program.t -> t
 val length : t -> int
 (** Number of active (compiled) instructions. *)
 
+val latency : t -> int
+(** The compiled program's latency sum, equal to {!Latency.of_program}
+    of the program it was compiled from. *)
+
+(** {2 Incremental translation}
+
+    {!compile} is {!recompile} on a fresh {!cache}: there is one
+    translator, applied slot by slot. *)
+
+type cache
+(** Per-slot translations ({!Slot_memo}) for one machine, plus one
+    reusable trace.  Mutable and unsynchronised: one per evaluation
+    context. *)
+
+val cache : Machine.t -> cache
+
+val recompile : cache -> Program.t -> t
+(** [recompile c p] is [compile m p] for [c]'s machine [m], but
+    translates only the slots whose instruction changed since the
+    previous [recompile] on [c], and returns [c]'s own trace: the result
+    is overwritten by the next [recompile] on [c]. *)
+
 val exec : t -> Exec.result
 (** Run the compiled trace on its machine, stopping at the first fault.
     Feeds {!Exec.Counters} when enabled, like {!Exec.run}. *)

@@ -193,12 +193,16 @@ let write128_exn ?(aligned = false) t addr (lo, hi) =
     write_exn t (Int64.add addr 8L) 8 hi
   end
 
-let set_bytes t addr s =
-  match offset t addr (String.length s) with
-  | None -> invalid_arg "Memory.set_bytes: out of range"
-  | Some off ->
-    Bytes.blit_string s 0 t.data off (String.length s);
-    mark t off (String.length s)
+let set_substring t addr s pos len =
+  let off = Int64.sub addr t.base in
+  let lim = size t - len in
+  if lim >= 0 && Int64.unsigned_compare off (Int64.of_int lim) <= 0 then begin
+    Bytes.blit_string s pos t.data (Int64.to_int off) len;
+    mark t (Int64.to_int off) len
+  end
+  else invalid_arg "Memory.set_bytes: out of range"
+
+let set_bytes t addr s = set_substring t addr s 0 (String.length s)
 
 let unsafe_bytes t = t.data
 

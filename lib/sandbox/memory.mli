@@ -76,6 +76,10 @@ val set_bytes : t -> int64 -> string -> unit
 (** Initialize arena contents at an absolute address (for test cases);
     raises [Invalid_argument] when out of range. *)
 
+val set_substring : t -> int64 -> string -> int -> int -> unit
+(** [set_substring t addr s pos len] is [set_bytes t addr
+    (String.sub s pos len)] without the copy. *)
+
 val unsafe_bytes : t -> Bytes.t
 (** The raw contents (not a copy — use {!copy} first if needed).  Strictly
     read-only: a direct mutation bypasses dirty tracking, so a later

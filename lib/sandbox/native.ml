@@ -746,7 +746,7 @@ let apply_testcase b ~lane tc =
   Testcase.apply tc b.cur.(lane);
   write_lane_record b.lanes_blob (lane * lane_sz) b.cur.(lane);
   b.blob_dirty <- true;
-  if tc.Testcase.mem_writes <> [] then
+  if Testcase.mem_writes tc <> [] then
     nat_write_arena b.h lane (Memory.unsafe_bytes b.cur.(lane).Machine.mem);
   b.touched.(lane) <- true;
   b.any_touched <- true

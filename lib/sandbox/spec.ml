@@ -45,58 +45,48 @@ let range_of = function
 
 let input_ranges t = Array.of_list (List.map range_of t.float_inputs)
 
+(* The location lists are built exactly as the [Testcase.with_*]
+   builders would build them (each new location at the head), then packed
+   once. *)
 let testcase_of_floats t xs =
   if Array.length xs <> arity t then
     invalid_arg "Spec.testcase_of_floats: arity mismatch";
-  let tc = ref Testcase.empty in
+  let f32_bits x = Int64.logand (Int64.of_int32 (Int32.bits_of_float x)) 0xffff_ffffL in
+  let xmms = ref [] and mems = ref [] and gps = ref [] in
   List.iteri
     (fun idx input ->
       let x = xs.(idx) in
       match input with
-      | Fin_xmm_f64 (r, _) -> tc := Testcase.with_f64 r x !tc
+      | Fin_xmm_f64 (r, _) -> xmms := (r, (Int64.bits_of_float x, 0L)) :: !xmms
       | Fin_xmm_f32 (r, _) ->
         (* Preserve a previously-set high dword (f32 pair inputs). *)
-        let existing =
-          List.assoc_opt r !tc.Testcase.xmms
-        in
-        (match existing with
+        (match List.assoc_opt r !xmms with
          | Some (lo, hi) ->
-           let bits = Int64.logand (Int64.of_int32 (Int32.bits_of_float x)) 0xffff_ffffL in
-           let lo' = Int64.logor (Int64.logand lo 0xffff_ffff_0000_0000L) bits in
-           tc :=
-             { !tc with
-               Testcase.xmms =
-                 (r, (lo', hi)) :: List.remove_assoc r !tc.Testcase.xmms
-             }
-         | None -> tc := Testcase.with_f32 r x !tc)
+           let lo' = Int64.logor (Int64.logand lo 0xffff_ffff_0000_0000L) (f32_bits x) in
+           xmms := (r, (lo', hi)) :: List.remove_assoc r !xmms
+         | None -> xmms := (r, (f32_bits x, 0L)) :: !xmms)
       | Fin_xmm_f32_hi (r, _) ->
         let lo0, hi0 =
-          match List.assoc_opt r !tc.Testcase.xmms with
+          match List.assoc_opt r !xmms with
           | Some v -> v
           | None -> (0L, 0L)
         in
-        let bits = Int64.of_int32 (Int32.bits_of_float x) in
         let lo' =
           Int64.logor
             (Int64.logand lo0 0x0000_0000_ffff_ffffL)
-            (Int64.shift_left (Int64.logand bits 0xffff_ffffL) 32)
+            (Int64.shift_left (f32_bits x) 32)
         in
-        tc :=
-          { !tc with
-            Testcase.xmms = (r, (lo', hi0)) :: List.remove_assoc r !tc.Testcase.xmms
-          }
-      | Fin_mem_f32 (addr, _) ->
-        tc := Testcase.with_mem addr (Testcase.f32_bytes x) !tc
-      | Fin_mem_f64 (addr, _) ->
-        tc := Testcase.with_mem addr (Testcase.f64_bytes x) !tc)
+        xmms := (r, (lo', hi0)) :: List.remove_assoc r !xmms
+      | Fin_mem_f32 (addr, _) -> mems := (addr, Testcase.f32_bytes x) :: !mems
+      | Fin_mem_f64 (addr, _) -> mems := (addr, Testcase.f64_bytes x) :: !mems)
     t.float_inputs;
   List.iter
     (fun fixed ->
       match fixed with
-      | Fix_gp (r, v) -> tc := Testcase.with_gp r v !tc
-      | Fix_mem (addr, s) -> tc := Testcase.with_mem addr s !tc)
+      | Fix_gp (r, v) -> gps := (r, v) :: !gps
+      | Fix_mem (addr, s) -> mems := (addr, s) :: !mems)
     t.fixed_inputs;
-  !tc
+  Testcase.make ~gps:!gps ~xmms:!xmms ~mem_writes:!mems
 
 let random_floats g t =
   Array.map (fun r -> Rng.Dist.uniform g r.lo r.hi) (input_ranges t)

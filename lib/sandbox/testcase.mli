@@ -1,13 +1,28 @@
 (** A test case is a function from live-in hardware locations to values
     (§2.2 of the paper): initial GP registers, xmm registers, and an
-    optional memory image to splat into the arena. *)
+    optional memory image to splat into the arena.
 
-type t = {
-  gps : (Reg.gp * int64) list;
-  xmms : (Reg.xmm * (int64 * int64)) list;
-  mem_writes : (int64 * string) list;
-      (** (absolute address, bytes) pairs applied to the arena. *)
-}
+    A test case is packed into one immutable string (a search keeps
+    thousands alive), and {!apply} decodes it straight into a machine.
+    The accessors unpack it into lists; structural equality on [t] is
+    equality of those lists. *)
+
+type t
+
+val make :
+  gps:(Reg.gp * int64) list ->
+  xmms:(Reg.xmm * (int64 * int64)) list ->
+  mem_writes:(int64 * string) list ->
+  t
+(** Pack the given locations.  {!apply} installs them in list order:
+    every GP register, then every xmm register, then every memory
+    write, so where a location is given twice the later entry wins. *)
+
+val gps : t -> (Reg.gp * int64) list
+val xmms : t -> (Reg.xmm * (int64 * int64)) list
+
+val mem_writes : t -> (int64 * string) list
+(** (absolute address, bytes) pairs applied to the arena. *)
 
 val empty : t
 
@@ -16,6 +31,10 @@ val of_f64 : (Reg.xmm * float) list -> t
 
 val of_f32 : (Reg.xmm * float) list -> t
 (** Singles in the low dword (value is rounded to binary32 first). *)
+
+(** The [with_*] builders put the new location at the {e head} of its
+    list, so it is installed before the ones already there (and loses to
+    an earlier-given value for the same location). *)
 
 val with_gp : Reg.gp -> int64 -> t -> t
 val with_xmm : Reg.xmm -> int64 * int64 -> t -> t

@@ -51,6 +51,9 @@ type t = {
   engine : Sandbox.Exec.engine;
   machine : Sandbox.Machine.t;  (** scratch machine, reused per run *)
   pristine : Sandbox.Machine.t;
+  code : Sandbox.Compiled.cache;
+      (** per-slot translations over [machine]: an evaluation translates
+          only the slots its proposal replaced *)
   cache : (int64 * Program.t * cost) option array;
       (** direct-mapped proposal cost cache keyed by {!Program.hash};
           [[||]] when disabled *)
@@ -79,15 +82,10 @@ let if_compiled t n =
 let compile_count t = if_compiled t (t.evaluations - t.cache_hits)
 let compiled_runs t = if_compiled t t.tests_executed
 
-let run_on t program tc =
+(* Reset the scratch machine and install one test case. *)
+let install t tc =
   Sandbox.Machine.restore_from ~src:t.pristine ~dst:t.machine;
-  Sandbox.Testcase.apply tc t.machine;
-  Sandbox.Exec.run t.machine program
-
-let run_prepared t run tc =
-  Sandbox.Machine.restore_from ~src:t.pristine ~dst:t.machine;
-  Sandbox.Testcase.apply tc t.machine;
-  run ()
+  Sandbox.Testcase.apply tc t.machine
 
 let cache_size = 512
 
@@ -106,6 +104,7 @@ let create ?(use_cache = true) ?(engine = Sandbox.Exec.Compiled) spec params
       engine;
       machine;
       pristine;
+      code = Sandbox.Compiled.cache machine;
       cache = (if use_cache then Array.make cache_size None else [||]);
       evaluations = 0;
       tests_executed = 0;
@@ -117,7 +116,8 @@ let create ?(use_cache = true) ?(engine = Sandbox.Exec.Compiled) spec params
   let expected =
     Array.mapi
       (fun i tc ->
-        let r = run_on t spec.Sandbox.Spec.program tc in
+        install t tc;
+        let r = Sandbox.Exec.run t.machine spec.Sandbox.Spec.program in
         match r.Sandbox.Exec.outcome with
         | Sandbox.Exec.Finished -> Sandbox.Spec.read_outputs spec t.machine
         | Sandbox.Exec.Faulted _ ->
@@ -194,35 +194,38 @@ let move_to_front t pos =
 
 let cache_slot t hash = Int64.to_int hash land (Array.length t.cache - 1)
 
-let cache_find t program =
-  if Array.length t.cache = 0 then None
-  else begin
-    let h = Program.hash program in
-    match t.cache.(cache_slot t h) with
-    | Some (h', p, c) when Int64.equal h h' && Program.equal p program -> Some c
-    | _ -> None
-  end
+(* [h] is [Program.hash program], computed once per evaluation. *)
+let cache_find t h program =
+  match t.cache.(cache_slot t h) with
+  | Some (h', p, c) when Int64.equal h h' && Program.equal p program -> Some c
+  | _ -> None
 
-let cache_store t program c =
-  if Array.length t.cache > 0 then begin
-    let h = Program.hash program in
-    t.cache.(cache_slot t h) <- Some (h, Program.copy program, c)
-  end
+let cache_store t h program c =
+  t.cache.(cache_slot t h) <- Some (h, Program.copy program, c)
 
 exception Prune of int
 
 let eval ?cutoff t program =
   t.evaluations <- t.evaluations + 1;
-  match cache_find t program with
+  let caching = Array.length t.cache > 0 in
+  let h = if caching then Program.hash program else 0L in
+  match if caching then cache_find t h program else None with
   | Some c ->
     t.cache_hits <- t.cache_hits + 1;
     Evaluated c
   | None ->
     let params = t.params in
+    (* Translate the proposal once for the whole test loop. *)
+    let compiled =
+      match t.engine with
+      | Sandbox.Exec.Compiled -> Some (Sandbox.Compiled.recompile t.code program)
+      | Sandbox.Exec.Interp -> None
+    in
     let perf =
-      match params.perf_model with
-      | Sum_latency -> float_of_int (Latency.of_program program)
-      | Critical_path -> float_of_int (Critical_path.of_program program)
+      match params.perf_model, compiled with
+      | Sum_latency, Some cp -> float_of_int (Sandbox.Compiled.latency cp)
+      | Sum_latency, None -> float_of_int (Latency.of_program program)
+      | Critical_path, _ -> float_of_int (Critical_path.of_program program)
     in
     let kperf = params.k *. perf in
     (* Aborting early is sound under both reductions.  Under Max the
@@ -252,13 +255,16 @@ let eval ?cutoff t program =
       | Sum -> ()
     in
     let n = Array.length t.tests in
-    (* Translate the proposal once for the whole test loop. *)
-    let run = Sandbox.Compiled.prepare t.engine t.machine program in
     let pruned_at =
       try
         for pos = 0 to n - 1 do
           let ti = t.order.(pos) in
-          let r = run_prepared t run t.tests.(ti) in
+          install t t.tests.(ti);
+          let r =
+            match compiled with
+            | Some cp -> Sandbox.Compiled.exec cp
+            | None -> Sandbox.Exec.run t.machine program
+          in
           t.tests_executed <- t.tests_executed + 1;
           (match r.Sandbox.Exec.outcome with
            | Sandbox.Exec.Faulted _ ->
@@ -294,7 +300,7 @@ let eval ?cutoff t program =
         { eq = !eq; perf; total = !eq +. kperf; signals = !signals;
           max_ulp = !max_ulp }
       in
-      cache_store t program c;
+      if caching then cache_store t h program c;
       Evaluated c
     end
 

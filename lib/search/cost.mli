@@ -85,7 +85,11 @@ val create :
     [engine] (default [Compiled]) selects how proposals execute: the
     compiled engine translates each proposal once ({!Sandbox.Compiled})
     and replays it per test case; the interpreter steps it afresh every
-    run.  Both produce bit-identical costs. *)
+    run.  Both produce bit-identical costs.  The context memoizes each
+    slot's translation and latency ({!Sandbox.Compiled.recompile}), so
+    an evaluation translates only the slots that changed since the
+    previous one; a context is therefore mutable and belongs to one
+    domain. *)
 
 val spec : t -> Sandbox.Spec.t
 val params : t -> params

@@ -12,6 +12,39 @@ end)
 
 module I64set = Set.Make (Int64)
 
+(* The opcode catalogue, built once for the whole program: every opcode
+   of [Opcode.all] (indexed by [Opcode.index]) and each distinct shape
+   numbered, so pools can file opcodes by shape.  It is read-only after
+   initialisation, so every domain may share it. *)
+let catalogue = Array.of_list Opcode.all
+
+let shape_numbers = Hashtbl.create 64
+
+let shape_ids =
+  let id shape =
+    match Hashtbl.find_opt shape_numbers shape with
+    | Some i -> i
+    | None ->
+      let i = Hashtbl.length shape_numbers in
+      Hashtbl.replace shape_numbers shape i;
+      i
+  in
+  Array.map (fun op -> Array.map id (Shape.shape_array op)) catalogue
+
+let n_shapes = Hashtbl.length shape_numbers
+
+(* Per-opcode tables of one pool, so a proposal walks arrays instead of
+   rebuilding lists: [peers.(j)] is [opcodes_with_shape] of
+   [(Shape.shape_array op).(j)], and [instantiable] the shapes whose
+   every kind has a non-empty operand pool, in order.  [opcode] and
+   every [peers] entry are the catalogue's own values, so [==] compares
+   them. *)
+type op_info = {
+  opcode : Opcode.t;
+  peers : Opcode.t array array;
+  instantiable : Shape.kind array array;
+}
+
 type t = {
   gp32 : Operand.t array;
   gp64 : Operand.t array;
@@ -23,6 +56,9 @@ type t = {
   mem64 : Operand.t array;
   mem128 : Operand.t array;
   opcodes : Opcode.t array;  (** opcodes with every shape-kind instantiable *)
+  opcode_info : op_info array;  (** [opcode_info.(j)] describes [opcodes.(j)] *)
+  info : op_info array;  (** indexed like [catalogue] *)
+  by_shape : Opcode.t array array;  (** indexed by shape number *)
 }
 
 let scratch_gps = [ Reg.Rax; Reg.Rcx; Reg.Rdx ]
@@ -71,6 +107,21 @@ let collect target spec =
     spec.Sandbox.Spec.fixed_inputs;
   (!gps, !xmms, !imm8s, !imm32s, !imm64s, !mems)
 
+let operands_of_kind p (k : Shape.kind) =
+  match k with
+  | Shape.K_gp Reg.L -> p.gp32
+  | Shape.K_gp Reg.Q -> p.gp64
+  | Shape.K_xmm -> p.xmm
+  | Shape.K_imm8 -> p.imm8
+  | Shape.K_imm32 -> p.imm32
+  | Shape.K_imm64 -> p.imm64
+  | Shape.K_mem Shape.M32 -> p.mem32
+  | Shape.K_mem Shape.M64 -> p.mem64
+  | Shape.K_mem Shape.M128 -> p.mem128
+
+let shape_instantiable t shape =
+  Array.for_all (fun k -> Array.length (operands_of_kind t k) > 0) shape
+
 let make ~target ~spec =
   let gps, xmms, imm8s, imm32s, imm64s, mems = collect target spec in
   let gp_ops = Gset.elements gps |> List.map (fun r -> Operand.Gp r) in
@@ -90,58 +141,67 @@ let make ~target ~spec =
       mem64 = Array.of_list (List.map (fun m -> Operand.Mem m) mems);
       mem128 = Array.of_list (List.map (fun m -> Operand.Mem m) mems);
       opcodes = [||];
+      opcode_info = [||];
+      info = [||];
+      by_shape = [||];
     }
   in
-  let kind_pool p (k : Shape.kind) =
-    match k with
-    | Shape.K_gp Reg.L -> p.gp32
-    | Shape.K_gp Reg.Q -> p.gp64
-    | Shape.K_xmm -> p.xmm
-    | Shape.K_imm8 -> p.imm8
-    | Shape.K_imm32 -> p.imm32
-    | Shape.K_imm64 -> p.imm64
-    | Shape.K_mem Shape.M32 -> p.mem32
-    | Shape.K_mem Shape.M64 -> p.mem64
-    | Shape.K_mem Shape.M128 -> p.mem128
+  let instantiable =
+    Array.map
+      (fun op ->
+        Array.of_list
+          (List.filter (shape_instantiable pools_no_ops)
+             (Array.to_list (Shape.shape_array op))))
+      catalogue
   in
-  let shape_instantiable p shape =
-    Array.for_all (fun k -> Array.length (kind_pool p k) > 0) shape
+  let in_pool =
+    List.filter (fun i -> Array.length instantiable.(i) > 0)
+      (List.init (Array.length catalogue) Fun.id)
   in
-  let opcodes =
-    List.filter
-      (fun op -> List.exists (shape_instantiable pools_no_ops) (Shape.shapes op))
-      Opcode.all
-    |> Array.of_list
+  (* The opcodes of every shape at once: one pass over the pool
+     opcodes, in pool order, files each under each of its shapes (once,
+     even where an opcode lists a shape twice). *)
+  let filed = Array.make n_shapes [] in
+  List.iter
+    (fun i ->
+      Array.iter
+        (fun id ->
+          match filed.(id) with
+          | last :: _ when last == catalogue.(i) -> ()
+          | ops -> filed.(id) <- catalogue.(i) :: ops)
+        shape_ids.(i))
+    in_pool;
+  let by_shape = Array.map (fun ops -> Array.of_list (List.rev ops)) filed in
+  let info =
+    Array.mapi
+      (fun i opcode ->
+        {
+          opcode;
+          peers = Array.map (fun id -> by_shape.(id)) shape_ids.(i);
+          instantiable = instantiable.(i);
+        })
+      catalogue
   in
-  { pools_no_ops with opcodes }
+  { pools_no_ops with
+    opcodes = Array.of_list (List.map (fun i -> catalogue.(i)) in_pool);
+    opcode_info = Array.of_list (List.map (fun i -> info.(i)) in_pool);
+    info;
+    by_shape }
 
-let operands_of_kind t (k : Shape.kind) =
-  match k with
-  | Shape.K_gp Reg.L -> t.gp32
-  | Shape.K_gp Reg.Q -> t.gp64
-  | Shape.K_xmm -> t.xmm
-  | Shape.K_imm8 -> t.imm8
-  | Shape.K_imm32 -> t.imm32
-  | Shape.K_imm64 -> t.imm64
-  | Shape.K_mem Shape.M32 -> t.mem32
-  | Shape.K_mem Shape.M64 -> t.mem64
-  | Shape.K_mem Shape.M128 -> t.mem128
-
-let shape_instantiable t shape =
-  Array.for_all (fun k -> Array.length (operands_of_kind t k) > 0) shape
+let op_info t op = t.info.(Opcode.index op)
 
 let opcodes_with_shape t shape =
-  Array.to_list t.opcodes
-  |> List.filter (fun op ->
-         List.exists (fun s -> Shape.equal_shape s shape) (Shape.shapes op))
-  |> Array.of_list
+  match Hashtbl.find_opt shape_numbers shape with
+  | Some id -> t.by_shape.(id)
+  | None -> [||]
 
 let all_opcodes t = t.opcodes
 
 let random_instr g t =
-  let op = Rng.Dist.choose g t.opcodes in
-  let candidates = List.filter (shape_instantiable t) (Shape.shapes op) in
-  let shape = Rng.Dist.choose_list g candidates in
+  let j = Rng.Dist.int g (Array.length t.opcodes) in
+  let op = t.opcodes.(j) in
+  let candidates = t.opcode_info.(j).instantiable in
+  let shape = candidates.(Rng.Dist.int g (Array.length candidates)) in
   let operands =
     Array.map (fun k -> Rng.Dist.choose g (operands_of_kind t k)) shape
   in

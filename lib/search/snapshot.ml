@@ -79,14 +79,14 @@ let fingerprint ~spec ~params ~config ~tests ~domains =
       Buffer.add_string buf "\ntest=";
       List.iter
         (fun (g, v) -> add "g:%s=%Ld;" (Reg.gp_name Reg.Q g) v)
-        tc.Sandbox.Testcase.gps;
+        (Sandbox.Testcase.gps tc);
       List.iter
         (fun (x, (lo, hi)) ->
           add "x:%s=%Ld:%Ld;" (Reg.xmm_name x) lo hi)
-        tc.Sandbox.Testcase.xmms;
+        (Sandbox.Testcase.xmms tc);
       List.iter
         (fun (a, bytes) -> add "m:%Ld=%s;" a bytes)
-        tc.Sandbox.Testcase.mem_writes)
+        (Sandbox.Testcase.mem_writes tc))
     tests;
   Digest.to_hex (Digest.string (Buffer.contents buf))
 

@@ -14,51 +14,74 @@ let kind_to_string = function
   | Swap_move -> "swap"
   | Instruction_move -> "instruction"
 
-let active_indices (p : Program.t) =
-  let out = ref [] in
-  Array.iteri
-    (fun i s ->
-      match s with
-      | Program.Active _ -> out := i :: !out
-      | Program.Unused -> ())
-    p.Program.slots;
-  Array.of_list !out
+(* The moves below make exactly the RNG draws of the list-building
+   formulation they replace — same [Rng.Dist.int] bounds, same order —
+   but pick the k-th element by counting, so a move allocates only the
+   instruction it proposes. *)
+
+let active_count (p : Program.t) =
+  let slots = p.Program.slots in
+  let n = ref 0 in
+  for idx = 0 to Array.length slots - 1 do
+    match slots.(idx) with
+    | Program.Active _ -> incr n
+    | Program.Unused -> ()
+  done;
+  !n
+
+(* The active slots are drawn from in descending index order. *)
+let nth_active_from_end (p : Program.t) k =
+  let slots = p.Program.slots in
+  let rec go idx k =
+    match slots.(idx) with
+    | Program.Unused -> go (idx - 1) k
+    | Program.Active _ -> if k = 0 then idx else go (idx - 1) (k - 1)
+  in
+  go (Array.length slots - 1) k
+
+let draw_active g p =
+  let n = active_count p in
+  if n = 0 then -1 else nth_active_from_end p (Rng.Dist.int g n)
+
+let replace (p : Program.t) idx old i' =
+  if Instr.is_well_formed i' then begin
+    p.Program.slots.(idx) <- Program.Active i';
+    Some (Restore_slot (idx, old))
+  end
+  else None
 
 let propose_opcode g pools (p : Program.t) =
-  let actives = active_indices p in
-  if Array.length actives = 0 then None
-  else begin
-    let idx = Rng.Dist.choose g actives in
+  let idx = draw_active g p in
+  if idx < 0 then None
+  else
     match p.Program.slots.(idx) with
     | Program.Unused -> None
-    | Program.Active i ->
-      let shape = Instr.shape i in
-      let candidates =
-        Pools.opcodes_with_shape pools shape
-        |> Array.to_list
-        |> List.filter (fun op -> not (Opcode.equal op i.Instr.op))
-        |> Array.of_list
-      in
-      if Array.length candidates = 0 then None
+    | Program.Active i as old ->
+      let info = Pools.op_info pools i.Instr.op in
+      let peers = info.Pools.peers.(Instr.shape_index i) in
+      (* the candidates are [peers] without the current opcode *)
+      let cur = info.Pools.opcode in
+      let n = ref 0 in
+      for j = 0 to Array.length peers - 1 do
+        if peers.(j) != cur then incr n
+      done;
+      if !n = 0 then None
       else begin
-        let op = Rng.Dist.choose g candidates in
-        let i' = Instr.make_unchecked op i.Instr.operands in
-        if Instr.is_well_formed i' then begin
-          p.Program.slots.(idx) <- Program.Active i';
-          Some (Restore_slot (idx, Program.Active i))
-        end
-        else None
+        let k = ref (Rng.Dist.int g !n) and pos = ref 0 in
+        while !k > 0 || peers.(!pos) == cur do
+          if peers.(!pos) != cur then decr k;
+          incr pos
+        done;
+        replace p idx old (Instr.make_unchecked peers.(!pos) i.Instr.operands)
       end
-  end
 
 let propose_operand g pools (p : Program.t) =
-  let actives = active_indices p in
-  if Array.length actives = 0 then None
-  else begin
-    let idx = Rng.Dist.choose g actives in
+  let idx = draw_active g p in
+  if idx < 0 then None
+  else
     match p.Program.slots.(idx) with
     | Program.Unused -> None
-    | Program.Active i ->
+    | Program.Active i as old ->
       let shape = Instr.shape i in
       if Array.length shape = 0 then None
       else begin
@@ -69,15 +92,9 @@ let propose_operand g pools (p : Program.t) =
           let o = Rng.Dist.choose g pool in
           let operands = Array.copy i.Instr.operands in
           operands.(pos) <- o;
-          let i' = Instr.make_unchecked i.Instr.op operands in
-          if Instr.is_well_formed i' then begin
-            p.Program.slots.(idx) <- Program.Active i';
-            Some (Restore_slot (idx, Program.Active i))
-          end
-          else None
+          replace p idx old (Instr.make_unchecked i.Instr.op operands)
         end
       end
-  end
 
 let propose_swap g (p : Program.t) =
   let n = Array.length p.Program.slots in

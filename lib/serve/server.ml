@@ -441,11 +441,42 @@ let initiate_shutdown st =
 
 (* ---------- connections ---------- *)
 
+(* A real request is at most a few kilobytes (a validate request carries
+   its rewrite's text); the cap only has to stop a client streaming bytes
+   with no newline. *)
+let max_request_bytes = 65536
+
+exception Request_too_long
+
+(* [input_line] with the length capped at [max_request_bytes]. *)
+let read_request_line ic =
+  let buf = Buffer.create 256 in
+  let rec go () =
+    match input_char ic with
+    | '\n' -> Buffer.contents buf
+    | c ->
+      if Buffer.length buf >= max_request_bytes then raise Request_too_long;
+      Buffer.add_char buf c;
+      go ()
+    | exception End_of_file ->
+      if Buffer.length buf = 0 then raise End_of_file else Buffer.contents buf
+  in
+  go ()
+
 let handle_connection st fd =
   let cl = client_of_fd fd in
   let ic = Unix.in_channel_of_descr fd in
-  match input_line ic with
+  match read_request_line ic with
   | exception (End_of_file | Sys_error _) -> close_client cl
+  | exception Request_too_long ->
+    Obs.Sink.emit (client_sink cl) "job_end"
+      [
+        ("status", Obs.Json.String "error");
+        ( "error",
+          Obs.Json.String
+            (Printf.sprintf "request line exceeds %d bytes" max_request_bytes) );
+      ];
+    close_client cl
   | line -> (
     match Protocol.request_of_string line with
     | Error e ->

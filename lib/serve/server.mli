@@ -61,6 +61,12 @@ val default_config :
 (** 1 worker, queue bound 64, no default deadline, 10 s checkpoint
     cadence, 30 s socket timeout, 4 domains max, null log. *)
 
+val max_request_bytes : int
+(** The longest request line the daemon reads (newline excluded).  A
+    client that sends more without a newline gets a [job_end] error and
+    is disconnected, so a request can never grow the daemon's heap
+    without bound. *)
+
 type t
 (** A running server's handle — only useful for {!shutdown}. *)
 

@@ -3,7 +3,7 @@ type t = {
   operands : Operand.t array;
 }
 
-let is_well_formed i = Option.is_some (Shape.shape_of i.op i.operands)
+let is_well_formed i = Shape.shape_index i.op i.operands >= 0
 
 let make op operands =
   let i = { op; operands = Array.of_list operands } in
@@ -15,10 +15,12 @@ let make op operands =
 
 let make_unchecked op operands = { op; operands }
 
-let shape i =
-  match Shape.shape_of i.op i.operands with
-  | Some s -> s
-  | None -> invalid_arg "Instr.shape: ill-formed instruction"
+let shape_index i =
+  let j = Shape.shape_index i.op i.operands in
+  if j < 0 then invalid_arg "Instr.shape: ill-formed instruction";
+  j
+
+let shape i = (Shape.shape_array i.op).(shape_index i)
 
 let gp_width i =
   match i.op with

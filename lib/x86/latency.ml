@@ -69,5 +69,14 @@ let of_instr (i : Instr.t) =
   in
   of_opcode i.op + penalty
 
-let of_program p =
-  List.fold_left (fun acc i -> acc + of_instr i) 0 (Program.instrs p)
+(* A plain loop over the slots: this runs on every frontier point,
+   protocol reply and report, so it builds no instruction list. *)
+let of_program (p : Program.t) =
+  let slots = p.Program.slots in
+  let total = ref 0 in
+  for k = 0 to Array.length slots - 1 do
+    match slots.(k) with
+    | Program.Unused -> ()
+    | Program.Active i -> total := !total + of_instr i
+  done;
+  !total

@@ -331,6 +331,13 @@ let all =
       [ Vfnmadd213sd; Vfnmadd231sd; Vfmsub213sd ];
     ]
 
+let by_position =
+  let h = Hashtbl.create 256 in
+  List.iteri (fun i op -> Hashtbl.replace h op i) all;
+  h
+
+let index op = Hashtbl.find by_position op
+
 let by_name = Hashtbl.create 257
 
 let () = List.iter (fun op -> Hashtbl.add by_name (to_string op) op) all

@@ -169,6 +169,9 @@ val all_of_string : string -> t list
 val all : t list
 (** Every opcode instance (width and condition variants expanded). *)
 
+val index : t -> int
+(** The opcode's position in {!all}, for tables indexed by opcode. *)
+
 val equal : t -> t -> bool
 val compare : t -> t -> int
 val pp : Format.formatter -> t -> unit

@@ -10,6 +10,11 @@ type slot =
   | Active of Instr.t
 
 type t = { slots : slot array }
+(** The slot array is mutable — the proposal moves write slots in place
+    and undo by writing the old value back — but the slot values are
+    not: a move never mutates an {!Instr.t} or its operand array, it
+    stores a new one.  {!Slot_memo} relies on this to re-derive only the
+    slots a move changed. *)
 
 val of_instrs : Instr.t list -> t
 (** One active slot per instruction. *)
@@ -32,7 +37,9 @@ val equal : t -> t -> bool
 
 val hash : t -> int64
 (** 64-bit structural hash (FNV-1a over the slot array, [Unused] slots
-    included).  [equal a b] implies [hash a = hash b]. *)
+    included).  [equal a b] implies [hash a = hash b].  The values are
+    persistent keys (the daemon's memo entries and checkpoints are named
+    by them) and are pinned by a test; allocates only its result. *)
 
 val to_string : t -> string
 (** One instruction per line; unused slots omitted. *)

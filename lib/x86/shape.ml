@@ -104,16 +104,28 @@ let equal_shape a b =
       Array.iteri (fun i k -> if not (equal_kind k b.(i)) then ok := false) a;
       !ok)
 
+(* [shapes op] as arrays for every opcode, built once and indexed by
+   [Opcode.index], so the lookups below rebuild no shape lists. *)
+let table =
+  Array.of_list (List.map (fun op -> Array.of_list (shapes op)) Opcode.all)
+
+let shape_array op = table.(Opcode.index op)
+
+let fits shape (operands : Operand.t array) =
+  Array.length shape = Array.length operands
+  &&
+  let rec go j = j < 0 || (kind_matches shape.(j) operands.(j) && go (j - 1)) in
+  go (Array.length shape - 1)
+
+let shape_index op operands =
+  let shapes = shape_array op in
+  let n = Array.length shapes in
+  let rec go j = if j = n then -1 else if fits shapes.(j) operands then j else go (j + 1) in
+  go 0
+
 let shape_of op operands =
-  let fits shape =
-    Array.length shape = Array.length operands
-    && (let ok = ref true in
-        Array.iteri
-          (fun i k -> if not (kind_matches k operands.(i)) then ok := false)
-          shape;
-        !ok)
-  in
-  List.find_opt fits (shapes op)
+  let j = shape_index op operands in
+  if j < 0 then None else Some (shape_array op).(j)
 
 let kind_to_string = function
   | K_gp Reg.L -> "r32"

@@ -26,8 +26,17 @@ val kind_matches : kind -> Operand.t -> bool
 val shapes : Opcode.t -> kind array list
 (** All admissible shapes of the opcode, in AT&T operand order. *)
 
+val shape_array : Opcode.t -> kind array array
+(** [shapes op] as an array, built once per opcode and shared: callers
+    must not mutate it. *)
+
+val shape_index : Opcode.t -> Operand.t array -> int
+(** Index into [shape_array op] of the first shape the operands
+    inhabit, or [-1] when none fits. *)
+
 val shape_of : Opcode.t -> Operand.t array -> kind array option
-(** The shape the given operands inhabit for this opcode, if any. *)
+(** The shape the given operands inhabit for this opcode, if any (the
+    one {!shape_index} picks). *)
 
 val equal_kind : kind -> kind -> bool
 val equal_shape : kind array -> kind array -> bool

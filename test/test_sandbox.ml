@@ -567,6 +567,69 @@ let exec_tests =
         Alcotest.(check int) "executed" 3 r.Sandbox.Exec.executed);
   ]
 
+let testcase_tests =
+  let module T = Sandbox.Testcase in
+  [
+    Alcotest.test_case "accessors return the builders' lists in order" `Quick
+      (fun () ->
+        let a = Int64.add base 16L and b = Int64.add base 32L in
+        let tc =
+          T.empty
+          |> T.with_gp Reg.Rdi 1L
+          |> T.with_gp Reg.Rsi 2L
+          |> T.with_xmm Reg.Xmm0 (3L, 4L)
+          |> T.with_f64 Reg.Xmm1 1.5
+          |> T.with_mem a "ab"
+          |> T.with_mem b "cd"
+        in
+        Alcotest.(check bool) "gps" true
+          (T.gps tc = [ (Reg.Rsi, 2L); (Reg.Rdi, 1L) ]);
+        Alcotest.(check bool) "xmms" true
+          (T.xmms tc
+          = [ (Reg.Xmm1, (Int64.bits_of_float 1.5, 0L)); (Reg.Xmm0, (3L, 4L)) ]);
+        Alcotest.(check bool) "mem_writes" true
+          (T.mem_writes tc = [ (b, "cd"); (a, "ab") ]);
+        let gps = [ (Reg.R9, -1L); (Reg.Rax, Int64.min_int); (Reg.R9, 0L) ]
+        and xmms = [ (Reg.Xmm15, (-1L, 7L)) ]
+        and mem_writes = [ (a, String.make 300 'z'); (b, "") ] in
+        let tc = T.make ~gps ~xmms ~mem_writes in
+        Alcotest.(check bool) "make round-trips" true
+          (T.gps tc = gps && T.xmms tc = xmms && T.mem_writes tc = mem_writes);
+        Alcotest.(check bool) "empty" true
+          (T.gps T.empty = [] && T.xmms T.empty = [] && T.mem_writes T.empty = []));
+    Alcotest.test_case "a location given twice keeps its first-given value"
+      `Quick (fun () ->
+        (* the builders prepend and [apply] installs in list order, so the
+           value given first is installed last *)
+        let tc =
+          T.empty
+          |> T.with_gp Reg.Rdi 2L
+          |> T.with_gp Reg.Rdi 1L
+          |> T.with_xmm Reg.Xmm3 (5L, 6L)
+          |> T.with_f64 Reg.Xmm3 9.
+          |> T.with_mem base "abcd"
+          |> T.with_mem (Int64.add base 2L) "XY"
+        in
+        let m = fresh () in
+        Sandbox.Machine.set_gp m Reg.Rsi 77L;
+        T.apply tc m;
+        Alcotest.(check int64) "rdi" 2L (Sandbox.Machine.get_gp m Reg.Rdi);
+        Alcotest.(check int64) "untouched rsi" 77L (Sandbox.Machine.get_gp m Reg.Rsi);
+        Alcotest.(check bool) "xmm3" true
+          (Sandbox.Machine.get_xmm m Reg.Xmm3 = (5L, 6L));
+        Alcotest.(check int64) "memory"
+          (Int64.of_int32 (String.get_int32_le "abcd" 0))
+          (Sandbox.Memory.read_exn m.Sandbox.Machine.mem base 4));
+    Alcotest.test_case "out-of-range memory is refused on apply" `Quick
+      (fun () ->
+        let tc = T.with_mem (Int64.add base 4095L) "ab" T.empty in
+        Alcotest.(check bool) "raises" true
+          (try
+             T.apply tc (fresh ());
+             false
+           with Invalid_argument _ -> true));
+  ]
+
 let spec_tests =
   [
     Alcotest.test_case "testcase_of_floats packs f32 pairs" `Quick (fun () ->
@@ -1312,6 +1375,7 @@ let () =
       ("converts", convert_tests);
       ("avx-fma", avx_tests);
       ("exec", exec_tests);
+      ("testcase", testcase_tests);
       ("spec", spec_tests);
       ("coverage", coverage_tests);
       ("restore", restore_tests);

@@ -1633,6 +1633,141 @@ let props =
     [ prop_dce_preserves_outputs; prop_cutoff_equivalence;
       prop_pareto_invariants ]
 
+(* ---------- the incremental proposal pipeline ---------- *)
+
+let shipped_kernels =
+  Kernels.Libimf.all
+  @ [ ("s3d_exp", Kernels.S3d.exp_spec) ]
+  @ Kernels.Aek_kernels.all_specs
+
+(* Captured before the per-slot memos landed.  The daemon keys memo
+   entries and checkpoints on [fingerprint ^ Program.hash], and the cost
+   cache on [Program.hash]; a drift here silently orphans every saved
+   entry. *)
+let pinned_hashes =
+  [
+    ("sin", 0x6dfa1364a9a0ac85L, 0x1b86c0f6783c6355L);
+    ("log", 0x832f31ccf907baceL, 0x7a5221c59b3616aeL);
+    ("tan", 0x2b239e03e55d07bfL, 0x7ab5ab79ffeca72fL);
+    ("cos", 0x343ab8046a31af23L, 0xc16322b3a700e6d3L);
+    ("exp", 0xea93351486c97a39L, 0x31f7d829c1ad1649L);
+    ("s3d_exp", 0x2ab265ca11b727f8L, 0xd3591e8f206fc378L);
+    ("scale", 0x13acd9e1a917d57fL, 0xaaa5249e249430efL);
+    ("dot", 0x67e602d1e97b5919L, 0x92601b9bac78d329L);
+    ("add", 0x2cac4c1e353da3c6L, 0xbaf32d2cd82d2b26L);
+    ("delta", 0x73dfb5745d3f2a10L, 0xf13dd21848fa9310L);
+  ]
+
+(* [fingerprint] of the optimize job the daemon builds for
+   [eta 0, proposals 2000, seed 3, domains 1]: its tests render every
+   packed test case, so these also pin [Testcase]'s accessors. *)
+let pinned_fingerprints =
+  [
+    ("sin", "8b8be9e00ebc0baf731c33e699196a64");
+    ("log", "ab0f861473817055747f7525f99cdd3d");
+    ("tan", "39f09d4bda44d6987c3d5eaa1b9e06dc");
+    ("cos", "a75f06abbe3f59113514a77876eda51a");
+    ("exp", "6d0d1ff1d37f8a84fd0fa55d78cc2c14");
+    ("s3d_exp", "fe10499eebcbc2d48cf786ff2a9b95bc");
+    ("scale", "d443fd4f2bb132f2c56e921ccdd8cd2e");
+    ("dot", "8895d227f1967f2d3a580b10dce73a11");
+    ("add", "a957dd3b5e4acbd2562ac590d81648b2");
+    ("delta", "0715baf3463fb2502c46a559b6b28830");
+  ]
+
+let same_verdict ?cutoff a b =
+  let over c =
+    match cutoff with
+    | Some l -> c.Search.Cost.total > l
+    | None -> false
+  in
+  match a, b with
+  | Search.Cost.Evaluated x, Search.Cost.Evaluated y ->
+    (* bitwise on every float, so NaN and signed zeros compare too *)
+    let bits f = Int64.bits_of_float f in
+    bits x.Search.Cost.eq = bits y.Search.Cost.eq
+    && bits x.Search.Cost.perf = bits y.Search.Cost.perf
+    && bits x.Search.Cost.total = bits y.Search.Cost.total
+    && x.Search.Cost.signals = y.Search.Cost.signals
+    && Ulp.compare x.Search.Cost.max_ulp y.Search.Cost.max_ulp = 0
+  (* where the abort lands depends on each context's adaptive test
+     order; pruned-ness itself does not *)
+  | Search.Cost.Pruned _, Search.Cost.Pruned _ -> true
+  (* a cache hit answers in full even past the cutoff *)
+  | Search.Cost.Evaluated c, Search.Cost.Pruned _
+  | Search.Cost.Pruned _, Search.Cost.Evaluated c ->
+    over c
+
+(* A fixed-seed walk of proposals, each kept or undone at random; after
+   every step the memoized screen and cost context must agree with fresh
+   ones, which have seen nothing before. *)
+let walk_matches_fresh (name, spec) =
+  let pools = pools_of spec in
+  let tests = Stoke.make_tests ~n:3 ~seed:5L spec in
+  let params = Search.Cost.default_params ~eta:1000L in
+  let env = Analysis.Screen.env_of_spec spec in
+  let ctx = Search.Cost.create spec params tests in
+  let cur = Program.with_padding 4 (Program.instrs spec.Sandbox.Spec.program) in
+  let g = Rng.Xoshiro256.create 11L in
+  let cutoff = (Search.Cost.eval_full ctx cur).Search.Cost.total in
+  let steps = ref 0 in
+  let check () =
+    incr steps;
+    let fresh_env = Analysis.Screen.env_of_spec spec in
+    if
+      Analysis.Screen.has_undef_read env cur
+      <> Analysis.Screen.has_undef_read fresh_env cur
+    then Alcotest.failf "%s step %d: memoized screen verdict differs" name !steps;
+    let fresh = Search.Cost.create ~use_cache:false spec params tests in
+    (* alternate full and cutoff evaluations so both verdicts occur *)
+    let cutoff = if !steps land 1 = 0 then None else Some cutoff in
+    if
+      not
+        (same_verdict ?cutoff
+           (Search.Cost.eval ?cutoff ctx cur)
+           (Search.Cost.eval ?cutoff fresh cur))
+    then Alcotest.failf "%s step %d: memoized cost differs" name !steps
+  in
+  while !steps < 20_000 do
+    match Search.Transform.propose g pools cur with
+    | None -> ()
+    | Some (_, undo) ->
+      check ();
+      if Rng.Dist.int g 4 <> 0 then begin
+        Search.Transform.undo cur undo;
+        check ()
+      end
+  done
+
+let incremental_tests =
+  [
+    Alcotest.test_case "persistent keys are pinned" `Quick (fun () ->
+        let pad = Search.Optimizer.default_config.Search.Optimizer.padding in
+        let config =
+          { Search.Optimizer.default_config with
+            Search.Optimizer.proposals = 2000; seed = 3L }
+        in
+        let params = Search.Cost.default_params ~eta:0L in
+        List.iter
+          (fun (name, spec) ->
+            let p = spec.Sandbox.Spec.program in
+            let _, hash, padded_hash =
+              List.find (fun (n, _, _) -> n = name) pinned_hashes
+            in
+            Alcotest.(check int64) (name ^ " hash") hash (Program.hash p);
+            Alcotest.(check int64)
+              (name ^ " padded hash") padded_hash
+              (Program.hash (Program.with_padding pad (Program.instrs p)));
+            let tests = Stoke.make_tests ~seed:103L spec in
+            Alcotest.(check string)
+              (name ^ " fingerprint")
+              (List.assoc name pinned_fingerprints)
+              (Search.Snapshot.fingerprint ~spec ~params ~config ~tests ~domains:1))
+          shipped_kernels);
+    Alcotest.test_case "memoized screen and cost match fresh ones" `Slow
+      (fun () -> List.iter walk_matches_fresh shipped_kernels);
+  ]
+
 (* Child mode of the flush-failure test above: one oversized atomic
    write, reporting through the exit status whether it raised. *)
 let () =
@@ -1659,4 +1794,5 @@ let () =
       ("frontier", frontier_tests);
       ("telemetry", telemetry_tests);
       ("properties", props);
+      ("incremental", incremental_tests);
     ]

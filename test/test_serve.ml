@@ -489,6 +489,42 @@ let smoke_tests =
         wait_for ~timeout_s:10. ~what:"shutdown despite an idle connection"
           (fun () -> !stopped);
         Serve.Client.close idle);
+    Alcotest.test_case "an oversized request line is refused" `Slow
+      (fun () ->
+        require_sockets ();
+        let cfg = mk_config (tmpdir ()) in
+        let sock = cfg.Serve.Server.socket_path in
+        let th = start_inproc cfg in
+        (* one byte past the cap, and no newline *)
+        let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+        (* a daemon that waits for the newline fails the test, not hangs it *)
+        Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.;
+        Unix.setsockopt_float fd Unix.SO_SNDTIMEO 10.;
+        Unix.connect fd (Unix.ADDR_UNIX sock);
+        let payload = Bytes.make (Serve.Server.max_request_bytes + 1) 'x' in
+        let rec write_all off =
+          if off < Bytes.length payload then
+            write_all (off + Unix.write fd payload off (Bytes.length payload - off))
+        in
+        write_all 0;
+        let ic = Unix.in_channel_of_descr fd in
+        let reply = input_line ic in
+        let ev = get_ok ~what:"reply" (Obs.Sink.event_of_string reply) in
+        Alcotest.(check string) "terminal event" "job_end" ev.Obs.Sink.name;
+        Alcotest.(check string) "refused" "error" (Serve.Client.job_status ev);
+        Alcotest.(check bool) "then closed" true
+          (match input_line ic with
+           | exception End_of_file -> true
+           | _ -> false);
+        close_in ic;
+        (* the daemon is still serving *)
+        let term =
+          get_ok ~what:"ping"
+            (Serve.Client.submit ~socket_path:sock
+               (control_request Serve.Protocol.Ping))
+        in
+        Alcotest.(check string) "pong" "pong" term.Obs.Sink.name;
+        stop_inproc cfg th);
     Alcotest.test_case "two tenants share the pool fairly" `Slow (fun () ->
         require_sockets ();
         let cfg = mk_config (tmpdir ()) in
@@ -497,33 +533,62 @@ let smoke_tests =
         (* One worker.  While a long job of tenant a runs, queue a:22,
            a:23, then b:24 — in that submission order.  Pure FIFO would
            start a:22, a:23, b:24; fair share consults each tenant once
-           per round, so b:24 must start before a's second queued job. *)
+           per round, so b:24 must start before a's second queued job.
+           Each step waits for the daemon's own event (a:21's
+           [job_start], then each later job's [job_submit], which the
+           daemon sends once the job is queued) instead of sleeping, so
+           the order holds however fast the busy job runs, as long as it
+           outlasts three submissions. *)
         let req tenant seed proposals =
           { (opt_request ~proposals ~seed ()) with Serve.Protocol.tenant }
         in
         let order = Mutex.create () in
         let started : string list ref = ref [] in
+        let seen : (string * string) list ref = ref [] in
         let submit tenant seed proposals =
+          let job = Printf.sprintf "%s:%d" tenant seed in
           Thread.create
             (fun () ->
               ignore
                 (Serve.Client.submit ~socket_path:sock
                    ~on_event:(fun ev ->
-                     if ev.Obs.Sink.name = "job_start" then begin
-                       Mutex.lock order;
-                       started := Printf.sprintf "%s:%d" tenant seed :: !started;
-                       Mutex.unlock order
-                     end)
+                     Mutex.lock order;
+                     seen := (job, ev.Obs.Sink.name) :: !seen;
+                     if ev.Obs.Sink.name = "job_start" then
+                       started := job :: !started;
+                     Mutex.unlock order)
                    (req tenant seed proposals)))
             ()
         in
-        let busy = submit "a" 21 150_000 in
-        Unix.sleepf 0.3 (* let the busy job occupy the worker *);
+        let await job name =
+          let deadline = Unix.gettimeofday () +. 30. in
+          let rec go () =
+            Mutex.lock order;
+            let ok = List.mem (job, name) !seen in
+            Mutex.unlock order;
+            if not ok then begin
+              if Unix.gettimeofday () > deadline then
+                Alcotest.failf "no %s event for %s within 30 s" name job;
+              Unix.sleepf 0.002;
+              go ()
+            end
+          in
+          go ()
+        in
+        let busy = submit "a" 21 500_000 in
+        await "a:21" "job_start";
         let t1 = submit "a" 22 400 in
-        Unix.sleepf 0.05;
+        await "a:22" "job_submit";
         let t2 = submit "a" 23 400 in
-        Unix.sleepf 0.05;
+        await "a:23" "job_submit";
         let t3 = submit "b" 24 400 in
+        await "b:24" "job_submit";
+        Alcotest.(check bool)
+          "all three queued while the busy job runs" false
+          (Mutex.lock order;
+           let finished = List.mem ("a:21", "job_end") !seen in
+           Mutex.unlock order;
+           finished);
         List.iter Thread.join [ busy; t1; t2; t3 ];
         Alcotest.(check (list string))
           "round-robin across tenants"
